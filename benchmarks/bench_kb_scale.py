@@ -1,6 +1,6 @@
 """Knowledge-base scale benchmark: nomination latency and startup time.
 
-Populates a file-backed KB with ``--datasets`` synthetic experiment
+Populates a file-backed one-shard KB with ``--datasets`` synthetic experiment
 outcomes (``--runs-per-dataset`` runs each) through the batched append
 path, then drives the busy-service pattern — one experiment lands between
 consecutive nominations — and times each query through:
@@ -17,15 +17,14 @@ consecutive nominations — and times each query through:
 Nominations from the two paths are asserted identical on every query.
 
 A third row replays the identical workload (same rng seed, same batch
-sequence) into a sharded root (``--shards`` content-addressed shard
-logs) and asserts its nominations are byte-identical to the monolith's,
-timing populate, nominate, and startup for the sharded layout.
-Startup compares ``RecordStore`` open time via snapshot + log-tail replay
-(both the lazy open, after which the store assigns correct ids and
-accepts reads/writes, and the fully-materialised open with every frozen
-table deserialised) against a full per-line JSON replay of the same log,
-asserting the deep restored states match record for record.  Writes
-``BENCH_kb_scale.json`` at the repo root.
+sequence) into a root with ``--shards`` content-addressed shard logs and
+asserts its nominations are identical to the one-shard KB's, timing
+populate, nominate, and startup for the N-shard layout.  Startup compares
+the one-shard store's open via snapshot + log-tail replay (every record
+deserialised, ids correct, accepting reads/writes) against a full replay
+of the same shard log with the snapshot hidden, asserting the deep
+restored states match record for record.  Writes ``BENCH_kb_scale.json``
+at the repo root.
 
 Run: ``PYTHONPATH=src python benchmarks/bench_kb_scale.py``             (10k datasets / 50k runs)
 Smoke: ``... --datasets 300 --runs-per-dataset 3 --queries 10``
@@ -46,7 +45,6 @@ import numpy as np
 from repro.kb import (
     KnowledgeBase,
     Neighbor,
-    RecordStore,
     ShardedRecordStore,
     weighted_nomination,
     zscore_normaliser,
@@ -130,58 +128,37 @@ def seed_nominate(kb: KnowledgeBase, metafeatures: MetaFeatures,
 
 
 @contextlib.contextmanager
-def _without_snapshot(path: Path):
-    """Hide the sidecar so opens inside the block take the replay path."""
-    snapshot_path = Path(str(path) + ".snapshot")
-    moved = None
-    if snapshot_path.exists():
-        moved = snapshot_path.with_suffix(".aside")
-        snapshot_path.rename(moved)
+def _without_snapshot(root: Path):
+    """Hide the shard snapshots so opens inside the block replay the logs."""
+    moved = []
+    for snapshot_path in sorted(root.glob("shard-*.log.snapshot")):
+        aside = snapshot_path.with_suffix(".aside")
+        snapshot_path.rename(aside)
+        moved.append((aside, snapshot_path))
     try:
         yield
     finally:
-        if moved is not None:
-            moved.rename(snapshot_path)
+        for aside, snapshot_path in moved:
+            aside.rename(snapshot_path)
 
 
-def time_startup(path: Path, use_snapshot: bool, repeats: int, materialise: bool) -> float:
-    """Best-of-N RecordStore open time.
-
-    ``materialise=False`` times the lazy snapshot open — header validated,
-    ids correct, store accepting writes, tables still frozen blobs.
-    ``materialise=True`` additionally touches every table so all records
-    are deserialised (the replay path is always fully materialised by
-    construction).
-    """
-    with _without_snapshot(path) if not use_snapshot else contextlib.nullcontext():
+def time_startup(root: Path, use_snapshot: bool, repeats: int) -> float:
+    """Best-of-N open of a store root, every table fully materialised."""
+    with _without_snapshot(root) if not use_snapshot else contextlib.nullcontext():
         best = np.inf
         for _ in range(max(1, repeats)):
             started = time.perf_counter()
-            store = RecordStore(path, snapshot_every=None)
-            if materialise:
-                for table in store.tables():
-                    store.count(table)
+            store = ShardedRecordStore(root, snapshot_every=None)
+            for table in store.tables():
+                store.count(table)
             best = min(best, time.perf_counter() - started)
             store.close()
         return best
 
 
-def time_sharded_startup(root: Path, repeats: int) -> float:
-    """Best-of-N fully-materialised open of a sharded root."""
-    best = np.inf
-    for _ in range(max(1, repeats)):
-        started = time.perf_counter()
-        store = ShardedRecordStore(root, snapshot_every=None)
-        for table in store.tables():
-            store.count(table)
-        best = min(best, time.perf_counter() - started)
-        store.close()
-    return best
-
-
-def load_state(path: Path) -> tuple[int, dict]:
+def load_state(root: Path) -> tuple[int, dict]:
     """Full deep state of a store (next id + every record of every table)."""
-    store = RecordStore(path, snapshot_every=None)
+    store = ShardedRecordStore(root, snapshot_every=None)
     state = {table: store.scan(table) for table in store.tables()}
     next_id = store.peek_next_id()
     store.close()
@@ -199,7 +176,7 @@ def main() -> None:
                              "path (default: all of them)")
     parser.add_argument("--snapshot-every", type=int, default=5000)
     parser.add_argument("--shards", type=int, default=4,
-                        help="shard count for the sharded-vs-monolith row")
+                        help="shard count for the N-shards-vs-one-shard row")
     parser.add_argument("--startup-repeats", type=int, default=3)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
@@ -207,7 +184,7 @@ def main() -> None:
 
     rng = np.random.default_rng(args.seed)
     with tempfile.TemporaryDirectory(prefix="bench_kb_scale_") as tmp:
-        path = Path(tmp) / "kb.jsonl"
+        path = Path(tmp) / "kb"
         kb = KnowledgeBase(path, snapshot_every=args.snapshot_every)
 
         n_populate = max(args.datasets - args.queries, 0)
@@ -245,22 +222,21 @@ def main() -> None:
         kb.close()
 
         print(f"timing startup over {n_datasets + n_runs} log records ...")
-        snap_startup_s = time_startup(path, True, args.startup_repeats, materialise=False)
-        snap_ready_s = time_startup(path, True, args.startup_repeats, materialise=True)
-        replay_startup_s = time_startup(path, False, args.startup_repeats, materialise=True)
+        snap_ready_s = time_startup(path, True, args.startup_repeats)
+        replay_startup_s = time_startup(path, False, args.startup_repeats)
         snap_state = load_state(path)
         with _without_snapshot(path):
             replay_state = load_state(path)
         startup_identical = snap_state == replay_state
 
-        log_bytes = path.stat().st_size
-        snapshot_bytes = Path(str(path) + ".snapshot").stat().st_size
+        log_bytes = (path / "shard-000.log").stat().st_size
+        snapshot_bytes = (path / "shard-000.log.snapshot").stat().st_size
 
-        # ------------------------------------------- sharded-vs-monolith row
-        # Replay the byte-identical workload (same rng seed, same batch and
-        # query sequence) into a sharded root.  Insertion order — and hence
-        # record ids and every float reduction — matches the monolith, so
-        # nominations must be *exactly* equal, not approximately.
+        # ------------------------------------------- N-shards-vs-one-shard row
+        # Replay the identical workload (same rng seed, same batch and query
+        # sequence) into an N-shard root.  Insertion order — and hence
+        # record ids and every float reduction — matches the one-shard KB,
+        # so nominations must be *exactly* equal, not approximately.
         print(f"sharded replay: same workload into {args.shards} shards ...")
         replay_rng = np.random.default_rng(args.seed)
         sharded_root = Path(tmp) / "kb-sharded"
@@ -287,7 +263,7 @@ def main() -> None:
         sharded.snapshot()
         sharded.close()
 
-        sharded_startup_s = time_sharded_startup(sharded_root, args.startup_repeats)
+        sharded_startup_s = time_startup(sharded_root, True, args.startup_repeats)
         sharded_log_bytes = sum(
             p.stat().st_size for p in sharded_root.glob("shard-*.log"))
         sharded_snapshot_bytes = sum(
@@ -308,9 +284,7 @@ def main() -> None:
         "nominate_speedup": round(seed_per_query / fast_per_query, 1),
         "nominations_identical": identical,
         "startup_replay_seconds": round(replay_startup_s, 6),
-        "startup_snapshot_seconds": round(snap_startup_s, 6),
         "startup_snapshot_ready_seconds": round(snap_ready_s, 6),
-        "startup_speedup": round(replay_startup_s / snap_startup_s, 1),
         "startup_ready_speedup": round(replay_startup_s / snap_ready_s, 1),
         "startup_state_identical": startup_identical,
         "log_bytes": log_bytes,
@@ -333,7 +307,7 @@ def main() -> None:
     if not startup_identical:
         raise SystemExit("snapshot-restored state diverged from the full log replay")
     if not sharded_identical:
-        raise SystemExit("sharded-KB nominations diverged from the monolith's")
+        raise SystemExit("N-shard KB nominations diverged from the one-shard KB's")
     print(f"wrote {OUTPUT}")
 
 

@@ -14,7 +14,7 @@ import pytest
 from repro.classifiers.tree import TreeParams, build_tree
 from repro.data import SyntheticSpec, make_dataset
 from repro.hpo import RandomForestSurrogate
-from repro.kb import KnowledgeBase, RecordStore
+from repro.kb import KnowledgeBase, ShardedRecordStore
 from repro.metafeatures import extract_metafeatures
 
 
@@ -43,21 +43,21 @@ def test_micro_kb_nomination(benchmark, kb50_path, wide_dataset):
 
 
 def test_micro_store_append(benchmark, tmp_path):
-    with RecordStore(tmp_path / "micro.jsonl") as store:
+    with ShardedRecordStore(tmp_path / "micro") as store:
         counter = iter(range(10_000_000))
 
         def append():
-            return store.append("runs", {"i": next(counter), "payload": "x" * 64})
+            return store.append("events", {"i": next(counter), "payload": "x" * 64})
 
         record_id = benchmark(append)
         assert record_id >= 1
 
 
 def test_micro_store_scan(benchmark, tmp_path):
-    with RecordStore(tmp_path / "scan.jsonl") as store:
+    with ShardedRecordStore(tmp_path / "scan") as store:
         for i in range(500):
-            store.append("runs", {"i": i})
-        rows = benchmark(lambda: store.scan("runs"))
+            store.append("events", {"i": i})
+        rows = benchmark(lambda: store.scan("events"))
         assert len(rows) == 500
 
 

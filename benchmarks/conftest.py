@@ -47,7 +47,7 @@ def _corpus_fingerprint() -> str:
 def bootstrapped_kb_path() -> Path:
     """Path of the cached 50-dataset KB, building it on first use."""
     ARTIFACTS.mkdir(exist_ok=True)
-    path = ARTIFACTS / f"kb{KB_N_DATASETS}_{_corpus_fingerprint()}.jsonl"
+    path = ARTIFACTS / f"kb{KB_N_DATASETS}_{_corpus_fingerprint()}"
     if path.exists():
         return path
     print(

@@ -14,8 +14,8 @@ turns experiment execution into a job lifecycle:
 * knowledge-base appends from all workers are funnelled through **one
   writer thread** which lands each finished run as a single batched append
   (:meth:`~repro.kb.KnowledgeBase.add_result_batch`), so the underlying
-  :class:`~repro.kb.store.RecordStore` log keeps exactly one writer no
-  matter how many workers run concurrently.
+  :class:`~repro.kb.shards.ShardedRecordStore` logs keep exactly one
+  writer no matter how many workers run concurrently.
 
 Reliability layer (the crash/overload story):
 
@@ -334,8 +334,8 @@ class JobManager:
         self.heartbeats: dict[str, float] = {}
         self.timeouts_total = 0
         self.retries_total = 0
-        # Landed KB appends by destination shard ("monolith" when the KB
-        # store is not sharded) — the single writer's routing gauge.
+        # Landed KB appends by destination shard — the single writer's
+        # routing gauge.
         self.kb_shard_writes: dict[str, int] = {}
         self._run_ewma_s: float | None = None
         self._kb_queue: queue.SimpleQueue[_KBWrite | _RegistryWrite | None] = queue.SimpleQueue()
@@ -1162,18 +1162,8 @@ class JobManager:
             finally:
                 item.done.set()
 
-    def _kb_shard_of(self, item: _KBWrite) -> int | None:
-        """Which KB shard this write routes to (None on a monolithic store)."""
-        shard_for = getattr(self.smartml.kb, "shard_for", None)
-        if shard_for is None:
-            return None
-        try:
-            return shard_for(item.dataset_name, item.metafeatures)
-        except Exception:
-            return None
-
-    def _count_kb_write(self, shard: int | None) -> None:
-        key = "monolith" if shard is None else f"shard-{shard:03d}"
+    def _count_kb_write(self, shard: int) -> None:
+        key = f"shard-{shard:03d}"
         with self._lock:
             self.kb_shard_writes[key] = self.kb_shard_writes.get(key, 0) + 1
 
@@ -1181,14 +1171,14 @@ class JobManager:
         """One batched KB append, preceded by its journaled commit intent.
 
         Appends stay funnelled through this single writer thread even on a
-        sharded store — the global id sequence serialises batches anyway —
-        but each write is routed (and its journal intent tagged) with its
-        destination shard, so recovery and the ``/jobs/stats`` gauges can
-        reason per failure domain.
+        multi-shard store — the global id sequence serialises batches
+        anyway — but each write is routed (and its journal intent tagged)
+        with its destination shard, so recovery and the ``/jobs/stats``
+        gauges can reason per failure domain.
         """
         kb = self.smartml.kb
         store = getattr(kb, "store", None)
-        shard = self._kb_shard_of(item)
+        shard = kb.shard_for(item.dataset_name, item.metafeatures)
         if self.journal is None or item.job is None or store is None:
             dataset_id = kb.add_result_batch(item.dataset_name, item.metafeatures, item.runs)
             self._count_kb_write(shard)
@@ -1202,9 +1192,8 @@ class JobManager:
                 "job": item.job.job_id,
                 "kb_dataset_id": predicted,
                 "n_rows": 1 + len(item.runs),
+                "shard": shard,
             }
-            if shard is not None:
-                intent["shard"] = shard
             self.journal.append(intent)
             if self.journal.dead:
                 raise _SimulatedCrash("crash between KB intent and append")

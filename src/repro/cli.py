@@ -5,23 +5,25 @@ APIs; this module is the command-line face of the Python reproduction:
 
 ``repro datasets``
     List the built-in Table-4 evaluation datasets.
-``repro bootstrap --kb kb.jsonl --n 10``
+``repro bootstrap --kb kb/ --n 10``
     Bootstrap a knowledge base from the synthetic corpus.
-``repro run --dataset my.csv --target label --kb kb.jsonl --budget 10``
+``repro run --dataset my.csv --target label --kb kb/ --budget 10``
     Run the full pipeline on a CSV/ARFF file (or a built-in dataset).
 ``repro validate --dataset my.csv --target label``
     Pre-flight lint: the same dataset validation ``POST /experiments``
     enforces, as a local report (exit 1 when the dataset would be rejected).
-``repro nominate --dataset my.csv --target label --kb kb.jsonl``
+``repro nominate --dataset my.csv --target label --kb kb/``
     Algorithm selection only (no tuning).
 ``repro kb fsck kb-root/ [--repair]``
-    Verify every frame CRC of a KB store (sharded root or jsonl log);
-    ``--repair`` salvages the valid prefix of damaged shards and rebuilds
-    the manifest, reporting what was dropped.
+    Verify every frame CRC of a KB root; ``--repair`` salvages the valid
+    prefix of damaged shards and rebuilds the manifest, reporting what was
+    dropped.
 ``repro kb merge pooled/ instance-a/ instance-b/``
     Deterministically union run histories from N instance roots —
-    content-digest dedup, order-independent, byte-identical output.
-``repro serve --port 8080 --kb kb.jsonl --workers 2 --registry models/ --journal jobs.wal``
+    content-digest dedup, order-independent, byte-identical output.  A
+    legacy JSON-lines log is converted the same way:
+    ``repro kb merge kb/ old-kb.jsonl``.
+``repro serve --port 8080 --kb kb/ --workers 2 --registry models/ --journal jobs.wal``
     Start the REST server with an async experiment worker pool, a durable
     model registry, and a crash-recoverable job journal (plus backpressure
     and timeout knobs: ``--max-queue``, ``--job-timeout``, ``--max-retries``,
@@ -394,12 +396,17 @@ def cmd_kb(args, out) -> int:
                         f", {source['orphan_runs']} orphan run(s) skipped"
                         if source.get("orphan_runs")
                         else ""
+                    )
+                    + (
+                        f", torn final write ({source['torn_bytes_dropped']} "
+                        "byte(s)) dropped"
+                        if source.get("torn_bytes_dropped")
+                        else ""
                     ),
                     file=out,
                 )
-            kind = "sharded" if report["sharded"] else "monolithic"
             print(
-                f"merged into {report['dest']} ({kind}): "
+                f"merged into {report['dest']}: "
                 f"{report['datasets']} unique dataset(s), "
                 f"{report['runs']} unique run(s)",
                 file=out,
@@ -409,29 +416,20 @@ def cmd_kb(args, out) -> int:
 
 
 def _print_fsck_report(report: dict, out) -> None:
-    if not report.get("sharded"):
-        status = report.get("status", "?")
-        print(
-            f"{report['root']}: {status} "
-            f"({report.get('records', 0)} record(s), "
-            f"{report.get('bytes_dropped', 0)} byte(s) unrecoverable)",
-            file=out,
+    print(f"{report['root']}: {report['n_shards']} shard(s)", file=out)
+    for shard in report["shards"]:
+        line = (
+            f"  {shard['file']}: {shard['status']:9s} "
+            f"{shard['records']:5d} record(s) {shard['bytes_valid']:8d} bytes"
         )
-    else:
-        print(f"{report['root']}: {report['n_shards']} shard(s)", file=out)
-        for shard in report["shards"]:
-            line = (
-                f"  {shard['file']}: {shard['status']:9s} "
-                f"{shard['records']:5d} record(s) {shard['bytes_valid']:8d} bytes"
-            )
-            if shard.get("bytes_dropped"):
-                line += f"  ({shard['bytes_dropped']} byte(s) dropped"
-                if shard.get("records_lost_vs_manifest"):
-                    line += f", ~{shard['records_lost_vs_manifest']} record(s) lost"
-                line += ")"
-            if shard.get("detail"):
-                line += f"  -- {shard['detail']}"
-            print(line, file=out)
+        if shard.get("bytes_dropped"):
+            line += f"  ({shard['bytes_dropped']} byte(s) dropped"
+            if shard.get("records_lost_vs_manifest"):
+                line += f", ~{shard['records_lost_vs_manifest']} record(s) lost"
+            line += ")"
+        if shard.get("detail"):
+            line += f"  -- {shard['detail']}"
+        print(line, file=out)
     if report.get("repaired"):
         print("repaired: logs truncated to their valid prefix, manifest rebuilt", file=out)
     elif not report.get("healthy"):
@@ -474,11 +472,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("datasets", help="list built-in evaluation datasets")
 
     p_boot = sub.add_parser("bootstrap", help="bootstrap a knowledge base")
-    p_boot.add_argument("--kb", help="knowledge base file (jsonl) or sharded root dir")
+    p_boot.add_argument("--kb", help="knowledge base root directory")
     p_boot.add_argument(
         "--shards", type=int,
-        help="create the KB as a sharded store with this many shards "
-        "(existing sharded roots are detected automatically)",
+        help="shard count when the KB root is created (default 1; "
+        "existing roots keep their own)",
     )
     p_boot.add_argument("--n", type=int, default=10, help="corpus datasets (default 10)")
     p_boot.add_argument("--configs", type=int, default=2, help="probes per algorithm")
@@ -489,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run the full pipeline on a dataset")
     p_run.add_argument("--dataset", required=True, help="registry key or csv/arff path")
     p_run.add_argument("--target", help="target column name (files only)")
-    p_run.add_argument("--kb", help="knowledge base file (jsonl)")
+    p_run.add_argument("--kb", help="knowledge base root directory")
     p_run.add_argument("--budget", type=float, default=10.0, help="seconds of tuning")
     p_run.add_argument("--algorithms", type=int, default=3, help="candidates to tune")
     p_run.add_argument("--preprocess", nargs="*", help="Table-2 operator names")
@@ -528,7 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_nom = sub.add_parser("nominate", help="algorithm selection only")
     p_nom.add_argument("--dataset", required=True)
     p_nom.add_argument("--target")
-    p_nom.add_argument("--kb")
+    p_nom.add_argument("--kb", help="knowledge base root directory")
     p_nom.add_argument("--algorithms", type=int, default=3)
 
     p_kb = sub.add_parser("kb", help="knowledge-base maintenance (fsck, merge)")
@@ -536,7 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fsck = kb_sub.add_parser(
         "fsck", help="verify every frame CRC of a KB store; optionally repair"
     )
-    p_fsck.add_argument("path", help="KB root: a sharded directory or a jsonl log")
+    p_fsck.add_argument("path", help="knowledge base root directory")
     p_fsck.add_argument(
         "--repair", action="store_true",
         help="truncate damaged shards to their valid prefix, drop unusable "
@@ -546,19 +544,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_merge = kb_sub.add_parser(
         "merge", help="deterministically union run histories from other KB roots"
     )
-    p_merge.add_argument("dest", help="destination KB root (created sharded if missing)")
-    p_merge.add_argument("sources", nargs="+", help="source KB roots to union in")
+    p_merge.add_argument("dest", help="destination KB root (created if missing)")
+    p_merge.add_argument(
+        "sources", nargs="+",
+        help="source KB roots (or legacy JSON-lines logs to convert) to union in",
+    )
     p_merge.add_argument(
         "--shards", type=int,
-        help="shard count when creating a new destination (default 4)",
+        help="shard count when creating a new destination (default 1)",
     )
     p_merge.add_argument("--json", action="store_true", help="emit the report as JSON")
 
     p_serve = sub.add_parser("serve", help="start the REST server")
-    p_serve.add_argument("--kb", help="knowledge base file (jsonl) or sharded root dir")
+    p_serve.add_argument("--kb", help="knowledge base root directory")
     p_serve.add_argument(
         "--shards", type=int,
-        help="create the KB as a sharded store with this many shards",
+        help="shard count when the KB root is created (default 1)",
     )
     p_serve.add_argument("--host", default="127.0.0.1")
     p_serve.add_argument("--port", type=int, default=8080)

@@ -20,10 +20,8 @@ from repro.kb.similarity import (
     weighted_nomination,
     zscore_normaliser,
 )
-from repro.kb.store import RecordStore
 
 __all__ = [
-    "RecordStore",
     "ShardedRecordStore",
     "KnowledgeBase",
     "bootstrap_knowledge_base",

@@ -1,6 +1,6 @@
 """The SmartML knowledge base.
 
-Two tables over the :class:`~repro.kb.store.RecordStore`:
+Two tables over the :class:`~repro.kb.shards.ShardedRecordStore`:
 
 * ``datasets`` — one row per processed dataset: name + the 25 meta-features;
 * ``runs`` — one row per (dataset, algorithm) tuning outcome: accuracy and
@@ -36,13 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.exceptions import KnowledgeBaseError
-from repro.kb.shards import (
-    ShardedRecordStore,
-    dataset_content_digest,
-    is_sharded_root,
-    merge_kb_roots,
-    shard_for_digest,
-)
+from repro.kb.shards import ShardedRecordStore, merge_kb_roots
 from repro.kb.similarity import (
     Neighbor,
     Nomination,
@@ -50,7 +44,6 @@ from repro.kb.similarity import (
     distance_only_nomination,
     weighted_nomination,
 )
-from repro.kb.store import RecordStore
 from repro.metafeatures import MetaFeatures
 
 __all__ = ["KnowledgeBase"]
@@ -62,7 +55,9 @@ class KnowledgeBase:
     Parameters
     ----------
     path:
-        Record-store log location (``None`` keeps the KB in memory).
+        Store root directory (``None`` keeps the KB in memory).  A legacy
+        JSON-lines log file is refused with the ``repro kb merge`` command
+        that converts it.
     drift_threshold:
         Tolerated z-normaliser staleness of the similarity index.  ``0.0``
         (default) renormalises on the first query after any append, keeping
@@ -70,22 +65,18 @@ class KnowledgeBase:
         positive value (e.g. ``0.05``) amortises renormalisation away on
         append-heavy workloads at the cost of bounded distance skew.
     snapshot_every:
-        Forwarded to :class:`~repro.kb.store.RecordStore`: write a startup
-        snapshot every N appended records (``None`` disables).  Only valid
-        when the KB opens the store itself — configure a passed ``store``
-        directly instead.
+        Forwarded to :class:`~repro.kb.shards.ShardedRecordStore`: write a
+        startup snapshot every N appended records (``None`` disables).
+        Only valid when the KB opens the store itself — configure a passed
+        ``store`` directly instead.
     store:
-        Use an existing :class:`RecordStore` instead of opening one.  This
-        is how a cold cache rebuild over live data is expressed:
+        Use an existing store instead of opening one.  This is how a cold
+        cache rebuild over live data is expressed:
         ``KnowledgeBase(store=kb.store)`` shares the records but none of
         the caches.
     shards:
-        Open/create a **sharded** store (:class:`~repro.kb.shards.
-        ShardedRecordStore`) with this many content-addressed shards at
-        ``path`` (a directory).  An existing sharded root is recognised
-        automatically — ``KnowledgeBase("kb-root/")`` opens it with its
-        manifest's shard count, no flag needed; a plain file path without
-        ``shards`` keeps the classic monolithic JSON-lines log.
+        Shard count when ``path`` is created (default 1).  An existing
+        root opens with its manifest's shard count, no flag needed.
     """
 
     _UNSET = object()
@@ -96,7 +87,7 @@ class KnowledgeBase:
         *,
         drift_threshold: float = 0.0,
         snapshot_every: int | None = _UNSET,  # type: ignore[assignment]
-        store: RecordStore | None = None,
+        store: ShardedRecordStore | None = None,
         shards: int | None = None,
     ):
         if store is not None and path is not None:
@@ -104,22 +95,17 @@ class KnowledgeBase:
         if store is not None and snapshot_every is not self._UNSET:
             raise ValueError(
                 "snapshot_every configures a store the KB opens itself; "
-                "set it on the RecordStore you are passing instead"
+                "set it on the store you are passing instead"
             )
         if store is not None and shards is not None:
             raise ValueError("shards configures a store the KB opens itself")
         if shards is not None and path is None:
-            raise ValueError("a sharded KB needs a path (its root directory)")
+            raise ValueError("shards needs a path (the KB root directory)")
         if snapshot_every is self._UNSET:
             snapshot_every = 1000
-        if store is not None:
-            self.store = store
-        elif path is not None and (shards is not None or is_sharded_root(path)):
-            self.store = ShardedRecordStore(
-                path, n_shards=shards, snapshot_every=snapshot_every
-            )
-        else:
-            self.store = RecordStore(path, snapshot_every=snapshot_every)
+        if store is None:
+            store = ShardedRecordStore(path, n_shards=shards, snapshot_every=snapshot_every)
+        self.store = store
         self._snapshot_every = snapshot_every
         self.drift_threshold = float(drift_threshold)
         # Read caches, built lazily on first read and maintained
@@ -296,28 +282,23 @@ class KnowledgeBase:
     @property
     def degraded(self) -> bool:
         """Whether the store quarantined a shard (serving from survivors)."""
-        return bool(getattr(self.store, "degraded", False))
+        return self.store.degraded
 
     def health(self) -> dict:
-        """Store robustness gauges, uniform across monolith and sharded."""
-        health = self.store.health()
-        health.setdefault("sharded", False)
-        health.setdefault("degraded", False)
-        return health
+        """Store robustness gauges (``/healthz``)."""
+        return self.store.health()
 
-    def shard_for(self, name: str, metafeatures: MetaFeatures) -> int | None:
-        """Which shard a dataset (and its runs) lands in; None if monolithic."""
-        store = self.store
-        if not isinstance(store, ShardedRecordStore):
-            return None
-        digest = dataset_content_digest(name, metafeatures.to_dict())
-        return shard_for_digest(digest, store.n_shards)
+    def shard_for(self, name: str, metafeatures: MetaFeatures) -> int:
+        """Which shard a dataset (and its runs) lands in."""
+        return self.store.shard_for(
+            "datasets", {"name": name, "metafeatures": metafeatures.to_dict()}
+        )
 
     def merge(self, sources, *, n_shards: int | None = None) -> dict:
         """Union other instance roots' run histories into this KB.
 
-        ``sources`` is a path or list of paths to other KB roots (sharded
-        directories or monolithic logs).  Content-digest dedup makes the
+        ``sources`` is a path or list of paths to other KB roots (or
+        legacy JSON-lines logs).  Content-digest dedup makes the
         union idempotent and the canonical rebuild makes it
         order-independent: merging the same roots in any order leaves
         byte-identical files behind (see :func:`repro.kb.shards.
@@ -332,20 +313,14 @@ class KnowledgeBase:
                 "refusing to merge a degraded KB: quarantined shards would "
                 "be silently dropped; run `repro kb fsck --repair` first"
             )
-        path = getattr(self.store, "path", None)
-        if path is None:
-            path = getattr(self.store, "root", None)
+        path = self.store.root
         if path is None:
             raise KnowledgeBaseError("an in-memory KB has no root to merge into")
-        sharded = isinstance(self.store, ShardedRecordStore)
         self.store.close()
         try:
             report = merge_kb_roots(path, list(sources), n_shards=n_shards)
         finally:
-            if sharded:
-                self.store = ShardedRecordStore(path, snapshot_every=self._snapshot_every)
-            else:
-                self.store = RecordStore(path, snapshot_every=self._snapshot_every)
+            self.store = ShardedRecordStore(path, snapshot_every=self._snapshot_every)
             self._index = None
             self._boards = None
         return report

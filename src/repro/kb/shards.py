@@ -1,27 +1,28 @@
-"""Sharded, self-healing record store for the knowledge base.
+"""The knowledge base's record store: CRC-framed, sharded, self-healing.
 
-The monolithic :class:`~repro.kb.store.RecordStore` has one failure
-domain: a single corrupt byte anywhere in its log makes the whole KB
-unreadable, and two service instances cannot pool their run histories.
-This module splits the log into **content-addressed shards**:
+The paper's knowledge base is "continuously updated after running each
+task", so durability matters more than query sophistication.  A store
+root holds **content-addressed shards** (one by default):
 
 * ``datasets`` rows route by a stable digest of their content (name +
   meta-features), ``runs`` rows follow the dataset they belong to, so a
   dataset and all its runs always share a shard;
 * each shard is an independent CRC-framed log (``shard-NNN.log``, frames
-  from :func:`repro.kb.snapshots.frame_blob`) with its own marshal
-  snapshot sidecar;
+  from :func:`repro.kb.snapshots.frame_blob`; one frame per append
+  batch) with its own marshal snapshot sidecar, so a restart replays only
+  the log tail written since the last checkpoint;
 * a ``MANIFEST.json`` carries per-shard byte counts and digests, so a
   missing, truncated, or rewritten shard is detected even when the bytes
   that remain are internally consistent.
 
 Corruption is therefore **contained**: a shard that fails validation is
 *quarantined* at load — its records drop out of the read path and
-appends routed to it raise — while the store keeps serving nominations
-from the survivors and reports the damage through ``degraded`` /
+appends routed to it raise — while the store keeps serving from the
+survivors and reports the damage through ``degraded`` /
 :meth:`ShardedRecordStore.health`.  A torn final frame (the signature of
-a crash mid-append) is still repaired automatically, exactly like the
-monolith's torn-line truncation; only *non-crash* damage quarantines.
+a crash mid-append) is repaired automatically by truncation; only
+*non-crash* damage quarantines.  ``ShardedRecordStore()`` without a root
+is the in-memory mode: one shard, no files.
 
 Two maintenance entry points live here as pure functions so they can run
 against roots that are not (and must not be) opened as live stores:
@@ -32,11 +33,14 @@ against roots that are not (and must not be) opened as live stores:
 * :func:`merge_kb_roots` — deterministically union the run histories of
   N instance roots.  Records dedup by content digest and the result is
   rebuilt in canonical digest order, so merging the same roots in *any*
-  order produces byte-identical files.
+  order produces byte-identical files.  It also converts legacy
+  JSON-lines logs (the store's former single-file format), which the
+  store itself refuses to open.
 """
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import logging
@@ -79,7 +83,7 @@ _SNAP_MAGIC = b"SMKP"
 _SNAP_FORMAT = 1
 MANIFEST_NAME = "MANIFEST.json"
 _MANIFEST_FORMAT = 1
-_DEFAULT_SHARDS = 4
+_DEFAULT_SHARDS = 1
 
 
 # ------------------------------------------------------------------ digests
@@ -120,9 +124,34 @@ def shard_for_digest(digest: str, n_shards: int) -> int:
 
 
 def is_sharded_root(path: str | Path) -> bool:
-    """Whether ``path`` is (or will be read as) a sharded store root."""
+    """Whether ``path`` is (or will be read as) a store root directory."""
     path = Path(path)
     return path.is_dir() or (path / MANIFEST_NAME).exists()
+
+
+def _refuse_legacy_log(path: Path) -> None:
+    """Raise if ``path`` is a legacy JSON-lines log rather than a store root."""
+    if path.is_file():
+        raise KnowledgeBaseError(
+            f"{path} is a legacy JSON-lines knowledge-base log; convert it with "
+            f"`repro kb merge <new-root> {path}` and use the new root"
+        )
+
+
+def _loads_without_gc(payload: bytes):
+    """``marshal.loads`` with the cyclic collector paused.
+
+    A snapshot decodes into a few containers per record, none of which can
+    be garbage yet; the collector passes that their allocation triggers
+    otherwise cost a large share of a big store's open.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return marshal.loads(payload)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _shard_file_name(index: int) -> str:
@@ -133,10 +162,12 @@ def _shard_file_name(index: int) -> str:
 class _Shard:
     """One shard's in-memory state: tables, running digest, quarantine."""
 
-    def __init__(self, index: int, log_path: Path):
+    def __init__(self, index: int, log_path: Path | None):
         self.index = index
         self.log_path = log_path
-        self.snapshot_path = log_path.with_name(log_path.name + ".snapshot")
+        self.snapshot_path = (
+            log_path.with_name(log_path.name + ".snapshot") if log_path else None
+        )
         self.tables: dict[str, dict[int, dict]] = {}
         self.log_bytes = 0
         self.digest = hashlib.md5()
@@ -168,36 +199,45 @@ class _Shard:
 
 
 class ShardedRecordStore:
-    """Drop-in :class:`~repro.kb.store.RecordStore` replacement whose log
-    is split across N content-addressed shard files under a root directory.
+    """A durable multi-table record log split across content-addressed
+    shard files under a root directory.
 
-    Same API surface (append/scan/get/snapshot/compact/close/locked/
-    peek_next_id), same single-writer discipline, same torn-tail
-    auto-repair — plus containment: damage to one shard quarantines that
-    shard only (``degraded`` flips, :meth:`health` reports it) instead of
-    failing the open.
+    Tables map integer ids (one global, monotonically increasing sequence)
+    to JSON-shaped dicts.  Appends are batched (one CRC frame and one
+    flush per touched shard), updates and deletes are logged as new
+    frames, and :meth:`compact` rewrites each log without the superseded
+    entries.  A lock makes every operation thread-safe; the REST job
+    service additionally funnels all appends through one writer thread
+    (``api/jobs.py``).  Damage to one shard quarantines that shard only
+    (``degraded`` flips, :meth:`health` reports it) instead of failing the
+    open.
 
     Parameters
     ----------
     root:
         Store directory.  Created (with ``n_shards`` shards and a
-        manifest) when it does not exist yet.
+        manifest) when it does not exist yet.  ``None`` keeps the store
+        purely in memory: one shard, no files, no encoding on append.
     n_shards:
-        Shard count for a *new* store.  An existing root's manifest wins;
-        passing a different explicit count for an existing root raises.
+        Shard count for a *new* store (default 1).  An existing root's
+        manifest wins; passing a different explicit count for an existing
+        root raises.
     snapshot_every:
-        As for :class:`RecordStore`: checkpoint shards + manifest every N
-        appended records and on ``close()`` (``None`` disables automatic
-        checkpoints; :meth:`snapshot` still works).
+        Checkpoint shards + manifest after this many appended/updated
+        records since the last checkpoint — deferred on large stores
+        until that tail is at least a quarter of all ids ever assigned,
+        so re-serialisation stays amortised O(1) per append — and on
+        ``close()`` of a session that wrote.  ``None`` disables automatic
+        checkpoints; :meth:`snapshot` still works.
     """
 
     def __init__(
         self,
-        root: str | Path,
+        root: str | Path | None = None,
         n_shards: int | None = None,
         snapshot_every: int | None = 1000,
     ):
-        self.root = Path(root)
+        self.root = Path(root) if root is not None else None
         self.snapshot_every = snapshot_every
         self._lock = threading.RLock()
         self._next_id = 1
@@ -215,6 +255,13 @@ class ShardedRecordStore:
         self._dead = False
         self._closed = False
 
+        if self.root is None:
+            if n_shards not in (None, 1):
+                raise ValueError("an in-memory store has exactly one shard")
+            self.n_shards = 1
+            self._shards = [_Shard(0, None)]
+            return
+        _refuse_legacy_log(self.root)
         manifest = self._read_manifest()
         if manifest is not None:
             manifest_shards = int(manifest["n_shards"])
@@ -282,6 +329,7 @@ class ShardedRecordStore:
                 self._quarantine(shard, "log file missing")
             return shard
         raw = shard.log_path.read_bytes()
+        manifest_prefix = None
         if mentry:
             mbytes = int(mentry.get("bytes", 0))
             if len(raw) < mbytes:
@@ -290,10 +338,12 @@ class ShardedRecordStore:
                     f"log shorter than manifest ({len(raw)} < {mbytes} bytes)",
                 )
                 return shard
-            if hashlib.md5(raw[:mbytes]).hexdigest() != mentry.get("md5"):
+            prefix_digest = hashlib.md5(raw[:mbytes])
+            if prefix_digest.hexdigest() != mentry.get("md5"):
                 self._quarantine(shard, "log prefix diverges from manifest digest")
                 return shard
-        offset = self._load_shard_snapshot(shard, raw)
+            manifest_prefix = (mbytes, prefix_digest)
+        offset = self._load_shard_snapshot(shard, raw, manifest_prefix)
         payloads, valid_end, tail = scan_frames(raw, SHARD_MAGIC, SHARD_FORMAT, offset)
         for payload in payloads:
             try:
@@ -301,7 +351,7 @@ class ShardedRecordStore:
                 if not isinstance(entries, list):
                     raise ValueError("frame payload is not a list")
                 for entry in entries:
-                    self._apply_loaded(shard, entry)
+                    self._apply(shard, entry)
             except Exception as exc:
                 # The CRC passed, so this is a writer bug or tampering,
                 # not a crash; containment over truncation.
@@ -313,7 +363,7 @@ class ShardedRecordStore:
         shard.digest.update(raw[offset:valid_end])
         shard.log_bytes = valid_end
         if tail == "torn":
-            # Crash signature: truncate it away, loudly, like the monolith.
+            # Crash signature: truncate it away, loudly.
             self.corrupt_frames_dropped += 1
             logger.warning(
                 "%s: dropped torn final frame (%d bytes) during open",
@@ -325,8 +375,15 @@ class ShardedRecordStore:
             os.replace(tmp, shard.log_path)
         return shard
 
-    def _load_shard_snapshot(self, shard: _Shard, raw: bytes) -> int:
-        """Adopt the shard's snapshot sidecar if valid; returns log offset."""
+    def _load_shard_snapshot(
+        self, shard: _Shard, raw: bytes, manifest_prefix: tuple | None
+    ) -> int:
+        """Adopt the shard's snapshot sidecar if valid; returns log offset.
+
+        ``manifest_prefix`` is the ``(bytes, md5)`` the manifest check
+        already computed; a snapshot taken with the manifest usually
+        covers the same prefix, which is then not hashed a second time.
+        """
         if not shard.snapshot_path.exists():
             return 0
         try:
@@ -334,13 +391,17 @@ class ShardedRecordStore:
                 shard.snapshot_path.read_bytes(), _SNAP_MAGIC, _SNAP_FORMAT,
                 what=str(shard.snapshot_path),
             )
-            snap = marshal.loads(payload)
+            snap = _loads_without_gc(payload)
             if tuple(snap.get("python", ())) != sys.version_info[:2]:
                 raise ValueError("written by a different CPython version")
             offset = snap["log_offset"]
             if not isinstance(offset, int) or not 0 <= offset <= len(raw):
                 raise ValueError(f"covers offset {offset!r} beyond the log")
-            if hashlib.md5(raw[:offset]).hexdigest() != snap["log_prefix_md5"]:
+            if manifest_prefix is not None and manifest_prefix[0] == offset:
+                prefix_digest = manifest_prefix[1]
+            else:
+                prefix_digest = hashlib.md5(raw[:offset])
+            if prefix_digest.hexdigest() != snap["log_prefix_md5"]:
                 raise ValueError("log prefix digest mismatch (log rewritten)")
             tables = snap["tables"]
             max_id = int(snap["max_id"])
@@ -356,10 +417,9 @@ class ShardedRecordStore:
         shard.tables = tables
         shard.max_id = max_id
         shard.entries = entries
-        for table, records in tables.items():
-            for record_id in records:
-                self._id_shard[record_id] = shard.index
-        shard.digest = hashlib.md5(raw[:offset])
+        for records in tables.values():
+            self._id_shard.update(dict.fromkeys(records, shard.index))
+        shard.digest = prefix_digest
         return offset
 
     def _quarantine(self, shard: _Shard, reason: str) -> None:
@@ -374,7 +434,9 @@ class ShardedRecordStore:
             reason,
         )
 
-    def _apply_loaded(self, shard: _Shard, entry: dict) -> None:
+    def _apply(self, shard: _Shard, entry: dict) -> None:
+        """Fold one log entry into ``shard`` (replay, update, delete); raises
+        :class:`KnowledgeBaseError` on a malformed entry."""
         op, table, record_id = self._parse_entry(entry)
         if op == "put":
             shard.tables.setdefault(table, {})[record_id] = entry.get("data", {})
@@ -424,7 +486,6 @@ class ShardedRecordStore:
         """Robustness gauges for monitoring (``/healthz``)."""
         with self._lock:
             return {
-                "sharded": True,
                 "n_shards": self.n_shards,
                 "degraded": self.degraded,
                 "quarantined_shards": self.quarantine_report(),
@@ -450,9 +511,6 @@ class ShardedRecordStore:
             return self._route(table, data, {})
 
     def _route(self, table: str, data: dict, pending: dict[int, int]) -> int:
-        if table == "datasets":
-            digest = dataset_content_digest(data.get("name"), data.get("metafeatures"))
-            return shard_for_digest(digest, self.n_shards)
         if table == "runs":
             dataset_id = data.get("dataset_id")
             shard = self._id_shard.get(dataset_id, pending.get(dataset_id))
@@ -461,7 +519,10 @@ class ShardedRecordStore:
                     f"runs row references unknown dataset id {dataset_id!r}"
                 )
             return shard
-        # Auxiliary tables have no content key; they live in shard 0.
+        if table == "datasets" and self.n_shards > 1:
+            digest = dataset_content_digest(data.get("name"), data.get("metafeatures"))
+            return shard_for_digest(digest, self.n_shards)
+        # One shard, or an auxiliary table (no content key): shard 0.
         return 0
 
     def append(self, table: str, data: dict) -> int:
@@ -482,12 +543,12 @@ class ShardedRecordStore:
                 raise KnowledgeBaseError("store is sealed by fault injection")
             if self._closed:
                 raise KnowledgeBaseError("store is closed")
-            routed: list[tuple[int, dict]] = []
+            first_id = self._next_id
             pending: dict[int, int] = {}
-            next_id = self._next_id
-            for table, data in rows:
-                record_id = next_id
-                next_id += 1
+            per_shard: dict[int, list[dict]] = {}
+            for record_id, (table, data) in enumerate(rows, first_id):
+                if not isinstance(table, str):
+                    raise KnowledgeBaseError(f"table name must be a string, not {table!r}")
                 shard_index = self._route(table, data, pending)
                 if table == "datasets":
                     pending[record_id] = shard_index
@@ -497,24 +558,26 @@ class ShardedRecordStore:
                         f"({self._shards[shard_index].quarantine_reason}); "
                         "run `repro kb fsck --repair` before writing to it"
                     )
-                routed.append(
-                    (shard_index, {"op": "put", "table": table, "id": record_id, "data": data})
+                per_shard.setdefault(shard_index, []).append(
+                    {"op": "put", "table": table, "id": record_id, "data": data}
                 )
-            ids = []
-            per_shard: dict[int, list[dict]] = {}
-            for shard_index, entry in routed:
-                self._apply(shard_index, entry)
-                ids.append(entry["id"])
-                per_shard.setdefault(shard_index, []).append(entry)
+            for shard_index, entries in per_shard.items():
+                shard = self._shards[shard_index]
+                for entry in entries:
+                    shard.tables.setdefault(entry["table"], {})[entry["id"]] = entry["data"]
+                    self._id_shard[entry["id"]] = shard_index
+                shard.entries += len(entries)
+                shard.max_id = max(shard.max_id, entries[-1]["id"])
+            self._next_id = first_id + len(rows)
             self._write(per_shard)
-            return ids
+            return list(range(first_id, self._next_id))
 
     def update(self, table: str, record_id: int, data: dict) -> None:
         """Overwrite a record in place (logged as a new put)."""
         with self._lock:
             shard_index = self._locate(table, record_id)
             entry = {"op": "put", "table": table, "id": record_id, "data": data}
-            self._apply(shard_index, entry)
+            self._apply(self._shards[shard_index], entry)
             self._write({shard_index: [entry]})
 
     def delete(self, table: str, record_id: int) -> None:
@@ -522,7 +585,7 @@ class ShardedRecordStore:
         with self._lock:
             shard_index = self._locate(table, record_id)
             entry = {"op": "delete", "table": table, "id": record_id}
-            self._apply(shard_index, entry)
+            self._apply(self._shards[shard_index], entry)
             self._write({shard_index: [entry]})
 
     def _locate(self, table: str, record_id: int) -> int:
@@ -533,21 +596,10 @@ class ShardedRecordStore:
             raise KnowledgeBaseError(f"{table}/{record_id} does not exist")
         return shard_index
 
-    def _apply(self, shard_index: int, entry: dict) -> None:
-        shard = self._shards[shard_index]
-        op, table, record_id = self._parse_entry(entry)
-        if op == "put":
-            shard.tables.setdefault(table, {})[record_id] = entry.get("data", {})
-            self._id_shard[record_id] = shard_index
-        else:
-            shard.tables.get(table, {}).pop(record_id, None)
-            self._id_shard.pop(record_id, None)
-        shard.entries += 1
-        shard.max_id = max(shard.max_id, record_id)
-        self._next_id = max(self._next_id, record_id + 1)
-
     def _write(self, per_shard: dict[int, list[dict]]) -> None:
         """One frame per touched shard; honours the crash-injection hook."""
+        if self.root is None:
+            return
         n_entries = sum(len(entries) for entries in per_shard.values())
         for shard_index in sorted(per_shard):
             shard = self._shards[shard_index]
@@ -583,6 +635,8 @@ class ShardedRecordStore:
             self._write_snapshots(raise_on_error=True)
 
     def _write_snapshots(self, raise_on_error: bool = False) -> None:
+        if self.root is None:
+            return
         for shard in self._shards:
             if shard.quarantined:
                 continue
@@ -600,8 +654,8 @@ class ShardedRecordStore:
                     frame_blob(marshal.dumps(payload), _SNAP_MAGIC, _SNAP_FORMAT),
                 )
             except Exception:
-                # Best-effort, like the monolith: a checkpoint is pure
-                # optimisation; the shard log already holds everything.
+                # Best-effort: a checkpoint is pure optimisation; the
+                # shard log already holds everything.
                 if raise_on_error:
                     raise
         self._write_manifest(raise_on_error=raise_on_error)
@@ -654,6 +708,8 @@ class ShardedRecordStore:
     def compact(self) -> None:
         """Rewrite every live shard log without overwritten/deleted entries."""
         with self._lock:
+            if self.root is None:
+                return
             for shard in self._shards:
                 if shard.quarantined:
                     continue
@@ -771,13 +827,14 @@ def fsck_store(root: str | Path, repair: bool = False) -> dict:
 
     ``repair=True`` truncates each damaged shard to its valid prefix,
     drops unusable snapshots, and rebuilds the manifest from the files as
-    they now stand, reporting exactly what was dropped.  Monolith
-    (JSON-lines) stores get the line-level equivalent.
+    they now stand, reporting exactly what was dropped.  A legacy
+    JSON-lines log is refused with the command that converts it.
     """
     root = Path(root)
-    if not is_sharded_root(root):
-        return _fsck_monolith(root, repair)
-    report: dict = {"root": str(root), "sharded": True, "repaired": False, "shards": []}
+    _refuse_legacy_log(root)
+    if not root.exists():
+        raise KnowledgeBaseError(f"{root}: no knowledge base found")
+    report: dict = {"root": str(root), "repaired": False, "shards": []}
     manifest = None
     manifest_path = root / MANIFEST_NAME
     if manifest_path.exists():
@@ -884,61 +941,17 @@ def _rebuild_manifest(root: Path, n_shards: int) -> None:
     atomic_write_bytes(root / MANIFEST_NAME, blob)
 
 
-def _fsck_monolith(path: Path, repair: bool) -> dict:
-    """Line-level fsck for the monolithic JSON-lines store format."""
-    report: dict = {"root": str(path), "sharded": False, "repaired": False}
-    if not path.exists():
-        report.update(status="missing", healthy=False)
-        return report
-    raw = path.read_bytes()
-    valid = 0
-    records = 0
-    status = "ok"
-    detail = None
-    parts = raw.split(b"\n")
-    for i, part in enumerate(parts):
-        has_newline = i < len(parts) - 1
-        span = len(part) + (1 if has_newline else 0)
-        if not part.strip():
-            valid += span
-            continue
-        try:
-            json.loads(part.decode("utf-8"))
-        except Exception:
-            is_final = i == len(parts) - 1 or (i == len(parts) - 2 and parts[-1] == b"")
-            status = "torn" if is_final else "corrupt"
-            detail = f"invalid record at byte {valid}"
-            break
-        records += 1
-        valid += span
-    report.update(
-        status=status,
-        records=records,
-        bytes_valid=valid,
-        bytes_total=len(raw),
-        bytes_dropped=len(raw) - valid,
-        healthy=status == "ok",
-    )
-    if detail:
-        report["detail"] = detail
-    if repair and status != "ok":
-        atomic_write_bytes(path, raw[:valid])
-        snapshot = path.with_name(path.name + ".snapshot")
-        if snapshot.exists():
-            snapshot.unlink()
-        report["repaired"] = True
-    return report
-
-
 # -------------------------------------------------------------------- merge
 def _collect_content(root: Path) -> tuple[dict, dict, dict]:
-    """Read-only content extraction from one store root (sharded or not).
+    """Read-only content extraction from one store root or legacy log.
 
     Returns ``(datasets, runs, info)`` where ``datasets`` maps dataset
     content digest -> row data and ``runs`` maps ``(dataset_digest,
-    run_digest)`` -> run data.  Raises on corruption — a damaged source
-    must be repaired (``fsck --repair``) before it can be merged, so the
-    merge never has to guess which bytes to trust.
+    run_digest)`` -> run data.  A torn final frame or line (a crash
+    mid-append) is skipped and counted in ``info["torn_bytes_dropped"]``;
+    any other corruption raises — a damaged source must be repaired
+    before it can be merged, so the merge never has to guess which bytes
+    to trust.
     """
     by_id: dict[int, tuple[str, dict]] = {}
     if is_sharded_root(root):
@@ -956,20 +969,10 @@ def _collect_content(root: Path) -> tuple[dict, dict, dict]:
                 continue
             entries, _, _, _, _ = _scan_shard_file(log_path.read_bytes())
             _fold_entries(entries, by_id)
-    elif root.exists():
-        for part in root.read_bytes().split(b"\n"):
-            if not part.strip():
-                continue
-            try:
-                entry = json.loads(part.decode("utf-8"))
-            except Exception:
-                # The caller sees every source through _collect_content, so
-                # enforce the same fsck-first rule the sharded path applies.
-                raise KnowledgeBaseError(
-                    f"{root}: corrupt record; run `repro kb fsck --repair "
-                    f"{root}` before merging"
-                ) from None
-            _fold_entries([entry], by_id)
+        torn_bytes = sum(s["bytes_dropped"] for s in report["shards"])
+    elif root.is_file():
+        entries, torn_bytes = _read_legacy_log(root)
+        _fold_entries(entries, by_id)
     else:
         raise KnowledgeBaseError(f"{root}: no knowledge base found")
     datasets: dict[str, dict] = {}
@@ -989,8 +992,41 @@ def _collect_content(root: Path) -> tuple[dict, dict, dict]:
             orphans += 1
             continue
         runs[(parent, run_content_digest(data))] = data
-    info = {"root": str(root), "datasets": len(datasets), "runs": len(runs), "orphan_runs": orphans}
+    info = {
+        "root": str(root),
+        "datasets": len(datasets),
+        "runs": len(runs),
+        "orphan_runs": orphans,
+        "torn_bytes_dropped": torn_bytes,
+    }
     return datasets, runs, info
+
+
+def _read_legacy_log(path: Path) -> tuple[list, int]:
+    """Entries of a legacy JSON-lines log, read-only.
+
+    Returns ``(entries, torn_bytes)``: an unparseable *final* line is the
+    signature of a crash mid-append and is dropped (its byte length
+    reported); an unparseable line anywhere else raises.
+    """
+    raw = path.read_bytes()
+    lines = raw.split(b"\n")
+    final = len(lines) - (2 if raw.endswith(b"\n") else 1)
+    entries = []
+    offset = 0
+    for i, line in enumerate(lines):
+        if line.strip():
+            try:
+                entries.append(json.loads(line))
+            except ValueError:
+                if i != final:
+                    raise KnowledgeBaseError(
+                        f"{path}: corrupt record at byte {offset} before the final "
+                        "line; only a torn final line is dropped on conversion"
+                    ) from None
+                return entries, len(raw) - offset
+        offset += len(line) + 1
+    return entries, 0
 
 
 def _fold_entries(entries: list, by_id: dict) -> None:
@@ -1020,12 +1056,14 @@ def merge_kb_roots(
     digest order, ids reassigned 1..N — so merging the same set of roots
     in any order (and starting from any of them) produces **byte-identical
     shard logs, snapshots, and manifest**.  The destination's existing
-    content participates in the union; its store flavour (sharded or
-    monolith) is preserved, and a fresh destination is created sharded.
+    content participates in the union and its shard count is kept.
+    Sources may be store roots or legacy JSON-lines logs; merging a log
+    into a fresh root is how it is converted.
 
     Returns a report with per-source record counts and the merged totals.
     """
     dest = Path(dest)
+    _refuse_legacy_log(dest)
     datasets: dict[str, dict] = {}
     runs: dict[tuple[str, str], dict] = {}
     merged_sources = []
@@ -1042,30 +1080,22 @@ def merge_kb_roots(
     for (dataset_digest, run_digest), data in runs.items():
         runs_by_dataset.setdefault(dataset_digest, []).append((run_digest, data))
 
-    dest_sharded = is_sharded_root(dest) or not dest.exists()
-    if dest_sharded:
-        existing_shards = None
-        if dest.exists() and (dest / MANIFEST_NAME).exists():
-            existing_shards = int(
-                json.loads((dest / MANIFEST_NAME).read_text(encoding="utf-8"))["n_shards"]
-            )
-        shards = existing_shards or n_shards or _DEFAULT_SHARDS
-        if n_shards is not None and existing_shards is not None and n_shards != existing_shards:
-            raise KnowledgeBaseError(
-                f"{dest}: has {existing_shards} shards; cannot merge into "
-                f"{n_shards} (shard count is fixed at creation)"
-            )
-        tmp = dest.with_name(dest.name + ".merge-tmp")
-        if tmp.exists():
-            shutil.rmtree(tmp)
-        store = ShardedRecordStore(tmp, n_shards=shards, snapshot_every=None)
-    else:
-        tmp = dest.with_name(dest.name + ".merge-tmp")
-        from repro.kb.store import RecordStore
-
-        if tmp.exists():
-            tmp.unlink()
-        store = RecordStore(tmp, snapshot_every=None)
+    existing_shards = None
+    if (dest / MANIFEST_NAME).exists():
+        existing_shards = int(
+            json.loads((dest / MANIFEST_NAME).read_text(encoding="utf-8"))["n_shards"]
+        )
+    if n_shards is not None and existing_shards is not None and n_shards != existing_shards:
+        raise KnowledgeBaseError(
+            f"{dest}: has {existing_shards} shards; cannot merge into "
+            f"{n_shards} (shard count is fixed at creation)"
+        )
+    tmp = dest.with_name(dest.name + ".merge-tmp")
+    if tmp.exists():
+        shutil.rmtree(tmp)
+    store = ShardedRecordStore(
+        tmp, n_shards=existing_shards or n_shards, snapshot_every=None
+    )
     try:
         for dataset_digest in sorted(datasets):
             rows = [("datasets", datasets[dataset_digest])]
@@ -1084,25 +1114,15 @@ def merge_kb_roots(
     # Swap the rebuilt store into place.  Per-file replaces are atomic; the
     # window where files mix is tiny and fsck detects (via the manifest) a
     # swap a crash interrupted.
-    if dest_sharded:
-        dest.mkdir(parents=True, exist_ok=True)
-        for name in sorted(p.name for p in tmp.iterdir()):
-            if name == MANIFEST_NAME:
-                continue
-            os.replace(tmp / name, dest / name)
-        os.replace(tmp / MANIFEST_NAME, dest / MANIFEST_NAME)
-        shutil.rmtree(tmp, ignore_errors=True)
-    else:
-        snapshot_tmp = tmp.with_name(tmp.name + ".snapshot")
-        snapshot_dest = dest.with_name(dest.name + ".snapshot")
-        if snapshot_tmp.exists():
-            os.replace(snapshot_tmp, snapshot_dest)
-        elif snapshot_dest.exists():
-            snapshot_dest.unlink()
-        os.replace(tmp, dest)
+    dest.mkdir(parents=True, exist_ok=True)
+    for name in sorted(p.name for p in tmp.iterdir()):
+        if name == MANIFEST_NAME:
+            continue
+        os.replace(tmp / name, dest / name)
+    os.replace(tmp / MANIFEST_NAME, dest / MANIFEST_NAME)
+    shutil.rmtree(tmp, ignore_errors=True)
     return {
         "dest": str(dest),
-        "sharded": dest_sharded,
         "sources": merged_sources,
         "datasets": len(datasets),
         "runs": len(runs),

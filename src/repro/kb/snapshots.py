@@ -1,17 +1,16 @@
 """Shared CRC-checked snapshot plumbing.
 
-Both durable sidecars in the system — the knowledge-base log checkpoints
-(:mod:`repro.kb.store`) and the model-registry snapshots
-(:mod:`repro.serving.registry`) — need the same three guarantees:
+Every durable file in the system — the knowledge-base shard logs and
+their checkpoints (:mod:`repro.kb.shards`), the job journal
+(:mod:`repro.api.journal`) and the model-registry snapshots
+(:mod:`repro.serving.registry`) — needs the same three guarantees:
 
 * **atomic replacement** — a snapshot file is either the old complete
   version or the new complete version, never a torn mix
   (:func:`atomic_write_bytes`: temp file + ``fsync`` + ``os.replace``);
 * **bit-rot detection** — payload bytes travel with a CRC32 that is
   verified before anything is deserialised (:func:`frame_blob` /
-  :func:`unframe_blob`, and the per-table helpers
-  :func:`crc_tables` / :func:`verify_crc_tables` the store embeds in its
-  marshal payload);
+  :func:`unframe_blob`);
 * **schema versioning** — every frame names its format version so a
   reader can reject (or fall back from) a snapshot written by a different
   schema instead of misinterpreting it.
@@ -39,8 +38,6 @@ __all__ = [
     "frame_header_size",
     "iter_frames",
     "scan_frames",
-    "crc_tables",
-    "verify_crc_tables",
 ]
 
 
@@ -187,19 +184,3 @@ def scan_frames(
         offset = end
     return payloads, offset, "clean"
 
-
-def crc_tables(tables: dict[str, bytes]) -> dict[str, int]:
-    """CRC32 per named blob, stored alongside the blobs themselves."""
-    return {name: zlib.crc32(blob) for name, blob in tables.items()}
-
-
-def verify_crc_tables(tables: dict[str, bytes], crcs: dict[str, int]) -> bool:
-    """Whether every named blob matches its recorded CRC32."""
-    if not isinstance(tables, dict) or not isinstance(crcs, dict):
-        return False
-    for name, blob in tables.items():
-        if not isinstance(name, str) or not isinstance(blob, bytes):
-            return False
-        if zlib.crc32(blob) != crcs.get(name):
-            return False
-    return True

@@ -11,6 +11,7 @@ on the ``pytest-timeout`` plugin.
 from __future__ import annotations
 
 import faulthandler
+import json
 
 import numpy as np
 import pytest
@@ -38,6 +39,33 @@ def pytest_runtest_protocol(item, nextitem):
         return (yield)
     finally:
         faulthandler.cancel_dump_traceback_later()
+
+
+@pytest.fixture
+def write_legacy_log():
+    """Writer of a legacy JSON-lines KB log (the former single-file format).
+
+    ``write(path, batches)`` takes ``(name, metafeatures_dict, runs)`` per
+    experiment and lays them down exactly as that store did: one
+    sorted-key ``put`` per line, ids 1..N in append order, each run
+    pointing at its dataset's id.
+    """
+
+    def write(path, batches):
+        lines = []
+        next_id = 1
+        for name, metafeatures, runs in batches:
+            dataset_id = next_id
+            rows = [("datasets", {"name": name, "metafeatures": metafeatures})]
+            rows += [("runs", {"dataset_id": dataset_id, **run}) for run in runs]
+            for table, data in rows:
+                entry = {"op": "put", "table": table, "id": next_id, "data": data}
+                lines.append(json.dumps(entry, sort_keys=True) + "\n")
+                next_id += 1
+        path.write_text("".join(lines), encoding="utf-8")
+        return path
+
+    return write
 
 
 @pytest.fixture

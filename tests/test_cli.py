@@ -33,7 +33,7 @@ def test_datasets_lists_table4():
 
 
 def test_bootstrap_then_nominate(tmp_path, csv_file):
-    kb_path = tmp_path / "kb.jsonl"
+    kb_path = tmp_path / "kb"
     code, text = _run([
         "bootstrap", "--kb", str(kb_path), "--n", "2", "--configs", "1",
         "--max-instances", "80", "--quiet",
@@ -56,7 +56,7 @@ def test_nominate_empty_kb_exits_nonzero(csv_file):
 
 
 def test_run_on_file(csv_file, tmp_path):
-    kb_path = tmp_path / "kb.jsonl"
+    kb_path = tmp_path / "kb"
     code, text = _run([
         "run", "--dataset", str(csv_file), "--target", "label",
         "--kb", str(kb_path), "--budget", "1.0", "--algorithms", "2",

@@ -3,11 +3,11 @@
 The centrepiece is the kill-and-restart property: for **any** injected
 crash point in the job journal (any frame boundary, or mid-frame), a
 restarted service that finishes the submitted work must leave durable
-state — the KB record log, the model-registry directory, and the job
-table's observable fields — identical to a run that never crashed.
-Timestamp sources are pinned (injected constant clocks, a deterministic
-runner), so "identical" is literal: byte-for-byte on the KB log and the
-registry files.
+state — every file under the KB root, the model-registry directory, and
+the job table's observable fields — identical to a run that never
+crashed.  Timestamp sources are pinned (injected constant clocks, a
+deterministic runner), so "identical" is literal: byte-for-byte on the KB
+shard log, manifest and snapshots and on the registry files.
 """
 
 import threading
@@ -56,7 +56,7 @@ def datasets():
 
 def _build_stack(root, fault_hook=None, scripts=None, **manager_kw):
     """One simulated service process: KB + registry + journal + manager."""
-    kb = KnowledgeBase(root / "kb.log", snapshot_every=None)
+    kb = KnowledgeBase(root / "kb", snapshot_every=None)
     registry = ModelRegistry(root / "registry", clock=KB_CLOCK)
     journal = JobJournal(root / "jobs.wal", fault_hook=fault_hook, clock=JOB_CLOCK)
     runner = FaultyRunner(kb, registry=registry, scripts=scripts)
@@ -98,16 +98,17 @@ def _drive(manager, datasets, plan=PLAN, poll_timeout=20.0):
     return acked, manager.journal.dead
 
 
-def _durable_state(root):
-    """Everything that must match a reference run, byte for byte."""
-    kb_log = (root / "kb.log").read_bytes()
-    registry_dir = root / "registry"
-    registry = {
-        str(p.relative_to(registry_dir)): p.read_bytes()
-        for p in sorted(registry_dir.rglob("*"))
+def _tree_bytes(directory):
+    return {
+        str(p.relative_to(directory)): p.read_bytes()
+        for p in sorted(directory.rglob("*"))
         if p.is_file()
     }
-    return kb_log, registry
+
+
+def _durable_state(root):
+    """Everything that must match a reference run, byte for byte."""
+    return _tree_bytes(root / "kb"), _tree_bytes(root / "registry")
 
 
 def _job_table(manager):
@@ -128,6 +129,8 @@ def reference(tmp_path_factory, datasets):
     acked, crashed = _drive(manager, datasets)
     assert not crashed and len(acked) == len(PLAN)
     state = _durable_state(root)
+    # The comparison covers a real store: manifest plus a non-empty log.
+    assert "MANIFEST.json" in state[0] and state[0]["shard-000.log"]
     table = _job_table(manager)
     assert all(row[1] == "done" for row in table.values())
     manager.shutdown()
@@ -399,7 +402,7 @@ def test_stats_surface(datasets):
 # ------------------------------------------------------------------ drain
 def test_drain_finishes_running_and_defers_queued(tmp_path, datasets):
     runner = _SelectiveBlockingRunner(KnowledgeBase(), block_names={"rec-a"})
-    runner.kb = KnowledgeBase(tmp_path / "kb.log", snapshot_every=None)
+    runner.kb = KnowledgeBase(tmp_path / "kb", snapshot_every=None)
     manager = JobManager(
         runner, workers=1, journal=JobJournal(tmp_path / "jobs.wal")
     )
@@ -433,7 +436,7 @@ def test_drain_finishes_running_and_defers_queued(tmp_path, datasets):
         manager.submit(datasets["rec-c"], 3, {})  # fully stopped now
 
     # Next start picks the deferred job up and finishes it.
-    kb2 = KnowledgeBase(tmp_path / "kb.log", snapshot_every=None)
+    kb2 = KnowledgeBase(tmp_path / "kb", snapshot_every=None)
     runner2 = FaultyRunner(kb2)
     manager2 = JobManager(runner2, workers=1, journal=JobJournal(tmp_path / "jobs.wal"))
     try:

@@ -84,7 +84,7 @@ def test_nominate_distance_mode():
 
 
 def test_persistence_roundtrip(tmp_path):
-    path = tmp_path / "kb.jsonl"
+    path = tmp_path / "kb"
     with KnowledgeBase(path) as kb:
         dataset_id = kb.add_dataset("d0", _mf(0))
         kb.add_run(dataset_id, "knn", {"k": 5}, accuracy=0.77)
@@ -144,8 +144,8 @@ def test_add_result_batch_matches_sequential_path(tmp_path):
         {"algorithm": "knn", "config": {"k": 3}, "accuracy": 0.8, "n_folds": 2, "budget_s": 1.0},
         {"algorithm": "svm", "config": {"cost": 2.0}, "accuracy": 0.7},
     ]
-    batch_path = tmp_path / "batch.jsonl"
-    seq_path = tmp_path / "seq.jsonl"
+    batch_path = tmp_path / "batch"
+    seq_path = tmp_path / "seq"
 
     batched = KnowledgeBase(batch_path)
     batch_id = batched.add_result_batch("d0", _mf(0), runs)
@@ -165,9 +165,13 @@ def test_add_result_batch_matches_sequential_path(tmp_path):
     sequential.close()
 
     assert batch_id == seq_id
-    # Identical ids, identical log bytes: the batch is a drop-in for the
-    # sequential add_dataset + N x add_run path.
-    assert batch_path.read_text() == seq_path.read_text()
+    # Identical ids, identical durable records: the batch is a drop-in for
+    # the sequential add_dataset + N x add_run path (it just lands as one
+    # frame instead of 1 + N).
+    with KnowledgeBase(batch_path) as batch_kb, KnowledgeBase(seq_path) as seq_kb:
+        for table in ("datasets", "runs"):
+            assert batch_kb.store.scan(table) == seq_kb.store.scan(table)
+        assert batch_kb.store.peek_next_id() == seq_kb.store.peek_next_id()
 
 
 def test_add_result_batch_invalidates_similarity_cache():

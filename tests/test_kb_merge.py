@@ -1,4 +1,5 @@
-"""Deterministic cross-instance KB merge: order-independence, dedup."""
+"""Deterministic cross-instance KB merge: order-independence, dedup, and
+conversion of legacy JSON-lines logs."""
 
 import hashlib
 import itertools
@@ -143,33 +144,54 @@ def test_merge_refuses_corrupt_source(tmp_path, instances):
         merge_kb_roots(tmp_path / "pooled", [a, b], n_shards=3)
 
 
-def test_merge_monolith_sources_into_sharded_dest(tmp_path):
-    mono_a = tmp_path / "a.jsonl"
-    kb = KnowledgeBase(mono_a)
-    for i in (0, 1):
-        kb.add_result_batch(f"d{i}", _MF[i], _runs(i))
-    kb.close()
+def test_merge_monolith_sources_into_sharded_dest(tmp_path, write_legacy_log):
+    mono_a = write_legacy_log(
+        tmp_path / "a.jsonl", [(f"d{i}", _MF[i].to_dict(), _runs(i)) for i in (0, 1)]
+    )
     sharded_b = _instance(tmp_path / "b", [1, 2])
 
     dest = tmp_path / "pooled"
     report = merge_kb_roots(dest, [mono_a, sharded_b], n_shards=2)
-    assert report["sharded"]
     assert report["datasets"] == 3 and report["runs"] == 6
     merged = KnowledgeBase(dest)
-    assert merged.n_datasets() == 3
+    assert merged.n_datasets() == 3 and merged.store.n_shards == 2
     merged.close()
 
 
-def test_merge_into_monolith_dest_stays_monolith(tmp_path):
-    dest = tmp_path / "dest.jsonl"
-    kb = KnowledgeBase(dest)
-    kb.add_result_batch("d0", _MF[0], _runs(0))
-    kb.close()
+def test_merge_converts_legacy_log_with_identical_nominations(tmp_path, write_legacy_log):
+    """A clean legacy log converts to the same shard log and manifest its
+    content would merge into from a live store, and nominates identically.
+
+    (The snapshot sidecar is a marshal cache whose bytes also reflect
+    which strings the reader happened to share, so it is not compared.)
+    """
+    legacy = write_legacy_log(
+        tmp_path / "kb.jsonl", [(f"d{i}", _MF[i].to_dict(), _runs(i)) for i in range(4)]
+    )
+    live = _instance(tmp_path / "live", range(4), shards=1)
+
+    report = merge_kb_roots(tmp_path / "converted", [legacy])
+    assert report["datasets"] == 4 and report["runs"] == 8
+    assert report["sources"][0]["torn_bytes_dropped"] == 0
+    merge_kb_roots(tmp_path / "pooled", [live])
+    for name in ("MANIFEST.json", "shard-000.log"):
+        assert (tmp_path / "converted" / name).read_bytes() == (
+            tmp_path / "pooled" / name
+        ).read_bytes()
+
+    converted = KnowledgeBase(tmp_path / "converted")
+    pooled = KnowledgeBase(tmp_path / "pooled")
+    assert converted.store.n_shards == 1
+    for query in _MF:
+        assert converted.nominate(query) == pooled.nominate(query)
+    converted.close()
+    pooled.close()
+
+
+def test_merge_refuses_legacy_log_dest(tmp_path, write_legacy_log):
+    dest = write_legacy_log(tmp_path / "dest.jsonl", [("d0", _MF[0].to_dict(), _runs(0))])
+    before = dest.read_bytes()
     source = _instance(tmp_path / "src", [1, 2])
-
-    report = merge_kb_roots(dest, [source])
-    assert not report["sharded"]
-    merged = KnowledgeBase(dest)
-    assert not merged.health()["sharded"]
-    assert merged.n_datasets() == 3 and merged.n_runs() == 6
-    merged.close()
+    with pytest.raises(KnowledgeBaseError, match="repro kb merge <new-root>"):
+        merge_kb_roots(dest, [source])
+    assert dest.read_bytes() == before

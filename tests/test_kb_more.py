@@ -14,7 +14,7 @@ def _mf(seed=0, **kwargs):
 
 
 def test_kb_compaction_preserves_nominations(tmp_path):
-    path = tmp_path / "kb.jsonl"
+    path = tmp_path / "kb"
     with KnowledgeBase(path) as kb:
         for i in range(4):
             dataset_id = kb.add_dataset(f"d{i}", _mf(i))
@@ -78,7 +78,7 @@ def test_kb_runs_with_zero_accuracy_are_kept():
 
 
 def test_kb_close_is_idempotent(tmp_path):
-    kb = KnowledgeBase(tmp_path / "kb.jsonl")
+    kb = KnowledgeBase(tmp_path / "kb")
     kb.add_dataset("d", _mf(0))
     kb.close()
     kb.close()  # must not raise

@@ -175,7 +175,7 @@ def test_snapshot_every_rejected_with_passed_store():
     with pytest.raises(ValueError, match="snapshot_every"):
         KnowledgeBase(store=kb.store, snapshot_every=10)
     with pytest.raises(ValueError, match="not both"):
-        KnowledgeBase("some/path.jsonl", store=kb.store)
+        KnowledgeBase("some/root", store=kb.store)
 
 
 # ------------------------------------------------------------- persistence
@@ -183,13 +183,13 @@ def test_snapshot_every_rejected_with_passed_store():
 
 def test_nominations_identical_across_snapshot_reopen(tmp_path):
     rng = np.random.default_rng(6)
-    path = tmp_path / "kb.jsonl"
+    path = tmp_path / "kb"
     queries = [_random_mf(rng) for _ in range(3)]
     with KnowledgeBase(path, snapshot_every=5) as kb:
         for i in range(8):
             kb.add_result_batch(f"d{i}", _random_mf(rng), _random_runs(rng, 2))
         live = [kb.nominate(q) for q in queries]
-    assert (tmp_path / "kb.jsonl.snapshot").exists()
+    assert (path / "shard-000.log.snapshot").exists()
     with KnowledgeBase(path) as reopened:
         assert [reopened.nominate(q) for q in queries] == live
 

@@ -1,4 +1,5 @@
-"""Sharded knowledge-base store: routing, quarantine, fsck, health."""
+"""Sharded knowledge-base store: routing, quarantine, fsck, health, and
+the refusal/conversion of legacy JSON-lines logs."""
 
 import json
 
@@ -13,6 +14,7 @@ from repro.kb.shards import (
     dataset_content_digest,
     fsck_store,
     is_sharded_root,
+    merge_kb_roots,
     shard_for_digest,
 )
 from repro.metafeatures import extract_metafeatures
@@ -41,6 +43,10 @@ def _populate(kb, n=6):
         kb.add_result_batch(f"d{i}", _mf(i), _runs(i))
 
 
+def _batches(n=6):
+    return [(f"d{i}", _mf(i).to_dict(), _runs(i)) for i in range(n)]
+
+
 @pytest.fixture
 def root(tmp_path):
     return tmp_path / "kb-root"
@@ -64,8 +70,10 @@ def test_sharded_round_trip(root):
 
 
 def test_sharded_matches_monolith_nominations(tmp_path):
+    """N shards nominate exactly like one shard (one failure domain)."""
     sharded = KnowledgeBase(tmp_path / "root", shards=N_SHARDS)
-    mono = KnowledgeBase(tmp_path / "kb.jsonl")
+    mono = KnowledgeBase(tmp_path / "one")
+    assert mono.store.n_shards == 1  # a fresh root defaults to one shard
     _populate(sharded)
     _populate(mono)
     query = _mf(99)
@@ -149,7 +157,7 @@ def test_corrupt_shard_is_quarantined_not_fatal(root):
     degraded = KnowledgeBase(root)
     assert degraded.degraded
     health = degraded.health()
-    assert health["sharded"] and health["degraded"]
+    assert health["degraded"] and health["n_shards"] == N_SHARDS
     assert [q["shard"] for q in health["quarantined_shards"]] == [victim]
     # Survivors still serve reads and nominations.
     assert degraded.n_datasets() == total - lost
@@ -247,7 +255,7 @@ def test_fsck_healthy(root):
     _populate(kb)
     kb.close()
     report = fsck_store(root)
-    assert report["healthy"] and report["sharded"]
+    assert report["healthy"] and report["n_shards"] == N_SHARDS
     assert all(s["status"] == "ok" for s in report["shards"])
 
 
@@ -289,72 +297,93 @@ def test_fsck_repair_round_trip(root):
     assert fsck_store(root)["healthy"]
 
 
-def test_fsck_monolith(tmp_path):
-    path = tmp_path / "kb.jsonl"
-    kb = KnowledgeBase(path)
-    _populate(kb, n=2)
-    kb.close()
-    assert fsck_store(path)["healthy"]
-    raw = path.read_bytes()
-    path.write_bytes(raw + b'{"torn')
-    report = fsck_store(path)
-    assert report["status"] == "torn" and not report["healthy"]
-    report = fsck_store(path, repair=True)
-    assert report["repaired"]
-    assert path.read_bytes() == raw
-    assert fsck_store(path)["healthy"]
+def test_fsck_monolith(tmp_path, write_legacy_log):
+    """fsck refuses a legacy log and names the command that converts it."""
+    path = write_legacy_log(tmp_path / "kb.jsonl", _batches(2))
+    before = path.read_bytes()
+    with pytest.raises(KnowledgeBaseError, match=r"repro kb merge <new-root> .*kb\.jsonl"):
+        fsck_store(path)
+    with pytest.raises(KnowledgeBaseError, match="repro kb merge"):
+        fsck_store(path, repair=True)
+    assert path.read_bytes() == before
+    with pytest.raises(KnowledgeBaseError, match="no knowledge base"):
+        fsck_store(tmp_path / "missing")
+
+
+def test_legacy_log_refused_on_open(tmp_path, write_legacy_log):
+    path = write_legacy_log(tmp_path / "kb.jsonl", _batches(2))
+    before = path.read_bytes()
+    for open_store in (KnowledgeBase, ShardedRecordStore):
+        with pytest.raises(KnowledgeBaseError, match="repro kb merge <new-root>"):
+            open_store(path)
+    # Nothing forked off beside it, and the log itself is untouched.
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kb.jsonl"]
+    assert path.read_bytes() == before
+
+
+def test_legacy_log_mid_file_corruption_refused(tmp_path, write_legacy_log):
+    path = write_legacy_log(tmp_path / "kb.jsonl", _batches(3))
+    lines = path.read_bytes().split(b"\n")
+    lines[1] = b"garbage{{{"
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(KnowledgeBaseError, match="before the final line"):
+        merge_kb_roots(tmp_path / "converted", [path])
+    assert not (tmp_path / "converted").exists()
 
 
 # -------------------------------------------------------------- satellites
-def test_monolith_snapshot_fallback_counted_and_logged(tmp_path, caplog):
-    path = tmp_path / "kb.jsonl"
-    kb = KnowledgeBase(path)
+def test_snapshot_fallback_counted_and_logged(root, caplog):
+    kb = KnowledgeBase(root)
     _populate(kb, n=2)
     kb.close()
-    snap = path.with_name(path.name + ".snapshot")
+    snap = root / "shard-000.log.snapshot"
     raw = bytearray(snap.read_bytes())
     raw[-1] ^= 0xFF
     snap.write_bytes(bytes(raw))
-    with caplog.at_level("WARNING", logger="repro.kb.store"):
-        reopened = KnowledgeBase(path)
+    with caplog.at_level("WARNING", logger="repro.kb.shards"):
+        reopened = KnowledgeBase(root)
     assert reopened.store.snapshot_fallbacks == 1
-    assert any("falling back to full log replay" in r.message for r in caplog.records)
+    assert any("replaying the shard log in full" in r.message for r in caplog.records)
     assert reopened.health() == {
-        "sharded": False,
+        "n_shards": 1,
         "degraded": False,
+        "quarantined_shards": [],
         "snapshot_fallbacks": 1,
         "corrupt_frames_dropped": 0,
     }
     reopened.close()
 
 
-def test_monolith_torn_tail_counted(tmp_path):
-    path = tmp_path / "kb.jsonl"
-    kb = KnowledgeBase(path, snapshot_every=None)
-    _populate(kb, n=2)
-    kb.close()
-    path.write_bytes(path.read_bytes() + b'{"half')
-    reopened = KnowledgeBase(path, snapshot_every=None)
-    assert reopened.store.corrupt_frames_dropped == 1
-    reopened.close()
+def test_monolith_torn_tail_counted(tmp_path, write_legacy_log):
+    """Converting a legacy log drops a torn final line, as its open did,
+    and reports the drop."""
+    path = write_legacy_log(tmp_path / "kb.jsonl", _batches(2))
+    torn = b'{"data": {"name": "d9"'
+    path.write_bytes(path.read_bytes() + torn)
+    report = merge_kb_roots(tmp_path / "converted", [path])
+    assert report["sources"][0]["torn_bytes_dropped"] == len(torn)
+    assert report["datasets"] == 2 and report["runs"] == 4
+    converted = KnowledgeBase(tmp_path / "converted")
+    assert converted.n_datasets() == 2 and not converted.degraded
+    converted.close()
+    assert fsck_store(tmp_path / "converted")["healthy"]
 
 
-def test_readonly_close_skips_snapshot_rewrite(tmp_path):
-    path = tmp_path / "kb.jsonl"
-    kb = KnowledgeBase(path)
+def test_readonly_close_skips_snapshot_rewrite(root):
+    kb = KnowledgeBase(root)
     _populate(kb, n=3)
     kb.close()
-    snap = path.with_name(path.name + ".snapshot")
+    snap = root / "shard-000.log.snapshot"
     before = snap.read_bytes()
     snap_mtime = snap.stat().st_mtime_ns
 
-    reader = KnowledgeBase(path)
+    reader = KnowledgeBase(root)
     reader.nominate(_mf(99))
     reader.close()
     assert snap.stat().st_mtime_ns == snap_mtime
     assert snap.read_bytes() == before
 
-    writer = KnowledgeBase(path)
+    writer = KnowledgeBase(root)
     writer.add_result_batch("new", _mf(7), _runs(7))
     writer.close()
     assert snap.read_bytes() != before  # a writing session still checkpoints

@@ -12,7 +12,11 @@ an operator would experience it, across real process boundaries:
    not dead — ``/healthz`` reports it, and ``/nominate`` still serves
    from the surviving shards with ``kb_degraded: true``;
 5. ``repro kb fsck --repair`` must exit zero, after which a re-check
-   reports healthy and a reopened KB serves non-degraded.
+   reports healthy and a reopened KB serves non-degraded;
+6. legacy conversion: a three-record JSON-lines log (the store's former
+   single-file format) is refused by ``repro kb fsck`` with the command
+   that converts it; ``repro kb merge <new-root> <log>`` converts it, the
+   new root fsck's healthy, and a server on it reports three datasets.
 
 Run:  PYTHONPATH=src python tools/kb_fsck_smoke.py [SCRATCH_DIR]
 (from the repo root; exits non-zero on any failed expectation).  With a
@@ -54,6 +58,15 @@ def _run_fsck(root: Path, *extra: str) -> tuple[int, dict]:
     except json.JSONDecodeError:
         report = {"unparseable_stdout": proc.stdout, "stderr": proc.stderr}
     return proc.returncode, report
+
+
+def _stop(server: subprocess.Popen) -> None:
+    if server.poll() is None:
+        server.terminate()
+        try:
+            server.wait(timeout=15)
+        except subprocess.TimeoutExpired:
+            server.kill()
 
 
 def _spawn_server(port: int, root: Path) -> subprocess.Popen:
@@ -138,12 +151,7 @@ def main() -> int:
             return 1
         print("degraded server nominated from survivors; repairing")
     finally:
-        if server.poll() is None:
-            server.terminate()
-            try:
-                server.wait(timeout=15)
-            except subprocess.TimeoutExpired:
-                server.kill()
+        _stop(server)
 
     # 5. Repair, then verify the root is healthy again.
     code, report = _run_fsck(root, "--repair")
@@ -171,6 +179,62 @@ def main() -> int:
         f"OK: shard {victim:03d} quarantined then repaired; "
         f"{survivors}/{N_DATASETS} datasets survived the truncation"
     )
+    return _legacy_conversion(workdir, metafeatures[:3])
+
+
+def _legacy_conversion(workdir: Path, metafeatures: list) -> int:
+    """Step 6: convert a legacy JSON-lines log and serve the new root."""
+    from repro.api import SmartMLClient
+
+    log = workdir / "legacy.jsonl"
+    log.write_text(
+        "".join(
+            json.dumps(
+                {
+                    "op": "put",
+                    "table": "datasets",
+                    "id": i + 1,
+                    "data": {"name": f"legacy{i}", "metafeatures": mf.to_dict()},
+                },
+                sort_keys=True,
+            )
+            + "\n"
+            for i, mf in enumerate(metafeatures)
+        ),
+        encoding="utf-8",
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    refused = subprocess.run(
+        [sys.executable, "-m", "repro.cli", "kb", "fsck", str(log)],
+        env=env, capture_output=True, text=True,
+    )
+    if refused.returncode == 0 or "repro kb merge" not in refused.stderr:
+        print(f"FAIL: fsck did not refuse the legacy log: {refused.stderr!r}")
+        return 1
+    root = workdir / "converted-root"
+    merged = subprocess.run(
+        [sys.executable, "-m", "repro.cli", "kb", "merge", str(root), str(log), "--json"],
+        env=env, capture_output=True, text=True,
+    )
+    (workdir / "legacy-merge.json").write_text(merged.stdout)
+    if merged.returncode != 0:
+        print(f"FAIL: kb merge could not convert the legacy log: {merged.stderr}")
+        return 1
+    code, report = _run_fsck(root)
+    if code != 0 or not report.get("healthy"):
+        print(f"FAIL: converted root is not healthy: {report}")
+        return 1
+    port = _free_port()
+    client = SmartMLClient(port=port, connect_retry_s=30.0)
+    server = _spawn_server(port, root)
+    try:
+        datasets = client.kb_stats().get("datasets")
+    finally:
+        _stop(server)
+    if datasets != len(metafeatures):
+        print(f"FAIL: converted KB serves {datasets} datasets, not {len(metafeatures)}")
+        return 1
+    print(f"OK: legacy log converted; served KB holds {datasets} datasets")
     return 0
 
 

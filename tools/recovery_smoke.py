@@ -57,7 +57,7 @@ def _spawn_server(port: int, workdir: Path) -> subprocess.Popen:
             "--port", str(port),
             "--workers", "1",
             "--journal", str(workdir / "jobs.wal"),
-            "--kb", str(workdir / "kb.jsonl"),
+            "--kb", str(workdir / "kb"),
             "--max-queue", "8",
         ],
         env=env,
