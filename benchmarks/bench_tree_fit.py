@@ -10,10 +10,12 @@ builder before any number is reported:
   and grows all trees in lockstep.
 * **candidate loop** — a SMAC-style intensification loop: a pool of
   tree-family configurations (CART/gini with cost-complexity pruning,
-  C4.5/gain-ratio with pessimistic pruning, and small random forests) each
-  fitted on every CV fold's training split.  The engine path registers one
-  presort per fold, exactly as ``CrossValObjective`` does, so every
-  candidate and every ensemble member reuses it.
+  C4.5/gain-ratio with pessimistic pruning, and small random forests — one
+  at ``nodesize`` 1, one at ``nodesize`` 5, so the draw-count stopping
+  rule is asserted too) each fitted on every CV fold's training split.
+  The engine path registers one presort per fold, exactly as
+  ``CrossValObjective`` does, so every candidate and every ensemble
+  member reuses it.
 
 Writes ``BENCH_tree_fit.json`` at the repo root so future PRs have a perf
 trajectory to compare against.
@@ -121,9 +123,9 @@ def _candidate_pool(features: int, n_configs: int, forest_trees: int):
         params = TreeParams(criterion="gain_ratio", max_depth=40,
                             min_split=max(2, 2 * m), min_bucket=m)
         pool.append(("c45", params, confidence))
-    for mtry_frac in (0.3, 0.6):
-        params = TreeParams(criterion="gini", max_depth=40, min_split=2,
-                            min_bucket=1,
+    for mtry_frac, nodesize in ((0.3, 1), (0.6, 5)):
+        params = TreeParams(criterion="gini", max_depth=40,
+                            min_split=max(2, 2 * nodesize), min_bucket=nodesize,
                             max_features=max(1, int(features * mtry_frac)))
         pool.append(("forest", params, forest_trees))
     return pool[: max(1, n_configs)]

@@ -12,6 +12,7 @@ import numpy as np
 
 from repro.classifiers.base import Classifier
 from repro.classifiers.tree import (
+    FlatForest,
     TreeParams,
     cost_complexity_prune_flat,
     fit_flat_forest,
@@ -42,7 +43,7 @@ class Bagging(Classifier):
         self.cp = cp
         self.maxdepth = maxdepth
         self.seed = seed
-        self.trees_: list = []
+        self.trees_: FlatForest | None = None
 
     def fit(self, X: np.ndarray, y: np.ndarray, n_classes: int | None = None):
         X, y = self._start_fit(X, y, n_classes)
@@ -54,22 +55,19 @@ class Bagging(Classifier):
             min_bucket=max(1, int(self.minbucket)),
         )
         # One presort + lockstep growth across all bagged trees; pruning
-        # stays per tree (it is O(nodes), not a scan).
+        # stays per tree (it is O(nodes), not a scan), and the pruned
+        # members are packed back into one node table.
         presort = presort_for(X)
         samples = [
             bootstrap_indices(y.shape[0], rng)
             for _ in range(max(1, int(self.nbagg)))
         ]
         grown = fit_flat_forest(presort, y, self.n_classes_, params, samples)
-        self.trees_ = [
-            cost_complexity_prune_flat(tree, float(self.cp)) for tree in grown
-        ]
+        self.trees_ = FlatForest.from_trees(
+            [cost_complexity_prune_flat(tree, float(self.cp)) for tree in grown]
+        )
         return self
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         X = self._check_predict_ready(X)
-        total = np.zeros((X.shape[0], self.n_classes_), dtype=np.float64)
-        for tree in self.trees_:
-            total += tree.predict_proba(X)
-        total /= len(self.trees_)
-        return total
+        return self.trees_.predict_proba(X)

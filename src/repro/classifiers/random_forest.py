@@ -9,7 +9,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.classifiers.base import Classifier
-from repro.classifiers.tree import TreeParams, draw_tree_seed, fit_flat_forest
+from repro.classifiers.tree import (
+    FlatForest,
+    TreeParams,
+    draw_tree_seed,
+    fit_flat_forest,
+)
 from repro.classifiers.tree.presort import presort_for
 from repro.evaluation.resampling import bootstrap_indices
 
@@ -37,7 +42,7 @@ class RandomForest(Classifier):
         self.mtry = mtry
         self.nodesize = nodesize
         self.seed = seed
-        self.trees_: list = []
+        self.trees_: FlatForest | None = None
 
     def fit(self, X: np.ndarray, y: np.ndarray, n_classes: int | None = None):
         X, y = self._start_fit(X, y, n_classes)
@@ -55,8 +60,9 @@ class RandomForest(Classifier):
         # One presort serves the whole forest (shared across HPO candidates
         # when the objective registered X); every bootstrap order derives
         # from it by stable partition, and all trees grow in lockstep so
-        # each level's vectorized pass serves the entire ensemble.  Draws
-        # stay in the sequential reference order: sample, tree seed,
+        # each level's vectorized pass serves the entire ensemble; the
+        # members stay packed in one node table for one-pass prediction.
+        # Draws stay in the sequential reference order: sample, tree seed,
         # sample, tree seed, ...
         presort = presort_for(X)
         subsampling = mtry < d
@@ -73,8 +79,4 @@ class RandomForest(Classifier):
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         X = self._check_predict_ready(X)
-        total = np.zeros((X.shape[0], self.n_classes_), dtype=np.float64)
-        for tree in self.trees_:
-            total += tree.predict_proba(X)
-        total /= len(self.trees_)
-        return total
+        return self.trees_.predict_proba(X)

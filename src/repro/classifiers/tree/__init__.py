@@ -2,7 +2,8 @@
 
 Hot path: :mod:`~repro.classifiers.tree.presort` (presorted breadth-first
 fitting straight into flat arrays) + :mod:`~repro.classifiers.tree.flat`
-(vectorized prediction) + the ``*_prune_flat`` procedures.  Reference path:
+(vectorized prediction; ``FlatForest`` packs an ensemble into one node
+table) + the ``*_prune_flat`` procedures.  Reference path:
 the recursive ``build_tree`` / ``TreeNode`` walkers / recursive pruning,
 kept node-for-node identical and exercised by the test suite.
 """
@@ -18,6 +19,7 @@ from repro.classifiers.tree.builder import (
     tree_predict_proba,
 )
 from repro.classifiers.tree.flat import (
+    FlatForest,
     FlatRegressionTree,
     FlatTree,
     flatten_structure,
@@ -51,6 +53,7 @@ from repro.classifiers.tree.pruning import (
 
 __all__ = [
     "FlatTree",
+    "FlatForest",
     "FlatRegressionTree",
     "flatten_structure",
     "TreeNode",

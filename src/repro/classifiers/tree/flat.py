@@ -13,14 +13,25 @@ O(depth) regardless of batch size.
 Predictions are bit-for-bit identical to the recursive reference path
 (`tree_predict_proba`/`tree_apply`): the per-leaf probability is precomputed
 with exactly the same smoothing arithmetic, and traversal applies exactly
-the same ``x[feature] <= threshold`` routing.  See DESIGN.md.
+the same ``x[feature] <= threshold`` routing.
+
+:class:`FlatForest` packs a whole ensemble into one node table (each tree
+a contiguous pre-order block, child links global) and routes every
+(tree, row) pair together, so predicting a forest costs O(max depth)
+numpy passes instead of O(trees x depth).  See DESIGN.md.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["FlatTree", "FlatRegressionTree", "flatten_structure"]
+__all__ = [
+    "FlatTree",
+    "FlatForest",
+    "FlatRegressionTree",
+    "flatten_structure",
+    "slice_tree",
+]
 
 
 def flatten_structure(root) -> tuple[dict[str, np.ndarray], list]:
@@ -67,6 +78,37 @@ def flatten_structure(root) -> tuple[dict[str, np.ndarray], list]:
         "parent": parent,
     }
     return arrays, nodes
+
+
+def _leaf_proba(counts: np.ndarray) -> np.ndarray:
+    """Exactly the reference smoothing: ``(counts + 1e-9) / row-sum``."""
+    smoothed = counts + 1e-9
+    return smoothed / smoothed.sum(axis=1, keepdims=True)
+
+
+def _shift_links(links: np.ndarray, offset: int) -> np.ndarray:
+    """Node links moved by ``offset``; ``-1`` (no node) stays ``-1``."""
+    return np.where(links >= 0, links + offset, -1)
+
+
+def slice_tree(
+    arrays: dict[str, np.ndarray], lo: int, hi: int
+) -> dict[str, np.ndarray]:
+    """Standalone structural arrays of the pre-order block ``[lo, hi)`` of a
+    packed node table whose ``left``/``right`` links are global."""
+    left = _shift_links(arrays["left"][lo:hi], -lo)
+    right = _shift_links(arrays["right"][lo:hi], -lo)
+    parent = np.full(hi - lo, -1, dtype=np.intp)
+    internal = np.flatnonzero(left >= 0)
+    parent[left[internal]] = internal
+    parent[right[internal]] = internal
+    return {
+        "feature": arrays["feature"][lo:hi].copy(),
+        "threshold": arrays["threshold"][lo:hi].copy(),
+        "left": left,
+        "right": right,
+        "parent": parent,
+    }
 
 
 class _FlatBase:
@@ -116,9 +158,7 @@ class FlatTree(_FlatBase):
         super().__init__(arrays)
         self.counts = counts
         self.n_classes = int(counts.shape[1])
-        # Exactly the reference smoothing: (counts + 1e-9) / row-sum.
-        smoothed = counts + 1e-9
-        self.proba = smoothed / smoothed.sum(axis=1, keepdims=True)
+        self.proba = _leaf_proba(counts)
 
     @classmethod
     def from_node(cls, root, n_classes: int) -> "FlatTree":
@@ -155,3 +195,113 @@ class FlatRegressionTree(_FlatBase):
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return self.values[self.apply(X)]
+
+
+#: Upper bound on the (tree, row) pairs one packed traversal routes at
+#: once; larger batches are cut into row blocks so the per-pair workspace
+#: (node ids, leaf probabilities) stays a few MB.
+_FOREST_PAIRS = 1 << 16
+
+
+class FlatForest:
+    """Classification trees packed into one node table.
+
+    Tree ``t`` occupies the contiguous pre-order block
+    ``[offsets[t], offsets[t + 1])``, its root at ``offsets[t]``;
+    ``left``/``right`` are *global* node indices, so one level-synchronous
+    pass advances every (tree, row) pair at once.  This is the stored form
+    of a fitted forest — the per-tree :class:`FlatTree` objects are views
+    rebuilt on access (``forest[t]``, iteration), not kept beside it.
+    """
+
+    __slots__ = (
+        "feature", "threshold", "left", "right", "counts", "proba", "offsets",
+        "n_classes",
+    )
+
+    def __init__(
+        self, arrays: dict[str, np.ndarray], counts: np.ndarray, offsets: np.ndarray
+    ):
+        self.feature = arrays["feature"]
+        self.threshold = arrays["threshold"]
+        self.left = arrays["left"]
+        self.right = arrays["right"]
+        self.counts = counts
+        self.proba = _leaf_proba(counts)
+        self.offsets = np.asarray(offsets, dtype=np.intp)
+        self.n_classes = int(counts.shape[1])
+
+    @classmethod
+    def from_trees(cls, trees) -> "FlatForest":
+        """Pack pre-order :class:`FlatTree` members (e.g. pruned ones)."""
+        sizes = np.array([tree.n_nodes for tree in trees], dtype=np.intp)
+        offsets = np.concatenate(([0], np.cumsum(sizes))).astype(np.intp)
+        arrays = {
+            name: np.concatenate([getattr(tree, name) for tree in trees])
+            for name in ("feature", "threshold")
+        }
+        for name in ("left", "right"):
+            arrays[name] = np.concatenate([
+                _shift_links(getattr(tree, name), off)
+                for tree, off in zip(trees, offsets)
+            ])
+        counts = np.concatenate([tree.counts for tree in trees], axis=0)
+        return cls(arrays, counts, offsets)
+
+    def __len__(self) -> int:
+        return int(self.offsets.shape[0]) - 1
+
+    def __getitem__(self, t: int) -> FlatTree:
+        """Member ``t`` as a standalone pre-order :class:`FlatTree`."""
+        if not -len(self) <= t < len(self):
+            raise IndexError(f"forest has {len(self)} trees, no tree {t}")
+        t %= len(self)
+        lo, hi = int(self.offsets[t]), int(self.offsets[t + 1])
+        arrays = {
+            "feature": self.feature, "threshold": self.threshold,
+            "left": self.left, "right": self.right,
+        }
+        return FlatTree(slice_tree(arrays, lo, hi), self.counts[lo:hi].copy())
+
+    def __iter__(self):
+        return (self[t] for t in range(len(self)))
+
+    def apply(self, X: np.ndarray) -> np.ndarray:
+        """(trees, rows) global node index of the leaf each pair reaches."""
+        X = np.ascontiguousarray(X, dtype=np.float64)
+        n_rows, d = X.shape
+        flat_x = X.ravel()
+        idx = np.repeat(self.offsets[:-1], n_rows)
+        # Offset of each pair's row in ``flat_x``; the column is added per level.
+        row_base = np.tile(np.arange(n_rows, dtype=np.intp) * d, len(self))
+        active = np.flatnonzero(self.feature[idx] >= 0)
+        while active.size:
+            sub = idx[active]
+            feat = self.feature[sub]
+            go_left = flat_x[row_base[active] + feat] <= self.threshold[sub]
+            nxt = np.where(go_left, self.left[sub], self.right[sub])
+            idx[active] = nxt
+            active = active[self.feature[nxt] >= 0]
+        return idx.reshape(len(self), n_rows)
+
+    def predict_proba(self, X: np.ndarray) -> np.ndarray:
+        """Mean of the members' leaf probabilities.
+
+        Bit-identical to ``total = zeros; total += tree.predict_proba(X)``
+        over the members in order, then ``total /= len(trees)``.  The sum
+        runs over the leading (tree) axis of a C-contiguous (trees, rows,
+        classes) block — not numpy's fast axis, so each tree's slice is
+        added to the running total in tree order, no pairwise
+        regrouping — and ``0.0 + p == p`` for the first tree.  (A
+        (trees, 1, 1) block is summed pairwise, but with one class every
+        probability is exactly 1.0 and the sum is exact in any order.)
+        """
+        X = np.ascontiguousarray(X, dtype=np.float64)
+        n_rows = X.shape[0]
+        total = np.empty((n_rows, self.n_classes), dtype=np.float64)
+        block = max(1, _FOREST_PAIRS // max(1, len(self)))
+        for lo in range(0, n_rows, block):
+            leaf_proba = self.proba[self.apply(X[lo : lo + block])]
+            np.sum(leaf_proba, axis=0, out=total[lo : lo + block])
+        total /= len(self)
+        return total

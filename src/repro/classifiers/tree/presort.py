@@ -17,7 +17,8 @@ that cost structurally:
   entire ensemble **in lockstep**: one frontier holds every member's nodes
   (each bootstrap sample is its own block of the shared instance space),
   so each level's fixed numpy dispatch cost is amortised over the whole
-  forest instead of being paid per tree;
+  forest instead of being paid per tree.  The classification forest
+  returns one packed :class:`~repro.classifiers.tree.flat.FlatForest`;
 * :func:`share_presort` / :func:`shared_presort_for` — a weak registry that
   lets ``CrossValObjective`` pin one presort per fold so every tree-family
   HPO candidate (and every ensemble member, via ``subsample``) reuses it.
@@ -43,11 +44,19 @@ under instance weights, ``max_features`` and every criterion (enforced by
   key), not from a shared rng stream, so depth-first and breadth-first
   growth see identical candidate sets.  Both engines consume exactly one
   ``rng.integers`` draw per fitted tree.
-* *Bootstrap canonicalisation*: ``subsample`` hands the engine the sample
-  in ascending-row order with duplicates adjacent.  A fitted tree is
-  invariant to instance permutation (counts are sums; equal feature values
-  never form a split boundary), so the result is node-for-node the tree
-  grown on the unsorted sample.
+* *Bootstrap multiplicities*: a classification forest member's instance
+  space holds each *distinct* sampled row once, ascending, with its draw
+  count as an integer weight.  A fitted tree is invariant to instance
+  permutation (counts are sums; equal feature values never form a split
+  boundary), and a row's copies always share a node and sit adjacent in
+  every column order, so the only split positions they add lie inside
+  tie runs — never candidates.  Class counts, child sizes and prefix sums
+  of draw counts are exact small integers, equal to the unit-weight sums
+  over the expanded sample bit for bit, and ``min_split``/``min_bucket``
+  compare draw counts; the result is node-for-node the tree grown on
+  ``X[sample]``.  The regression forest keeps the expanded sample (its
+  node means are float pairwise sums, so only the expanded sample
+  reproduces them), ordered ascending with duplicates adjacent.
 
 See DESIGN.md ("Presorted breadth-first fitting engine").
 """
@@ -64,7 +73,12 @@ from repro.classifiers.tree.criteria import (
     children_impurity_sized,
     impurity_function,
 )
-from repro.classifiers.tree.flat import FlatRegressionTree, FlatTree
+from repro.classifiers.tree.flat import (
+    FlatForest,
+    FlatRegressionTree,
+    FlatTree,
+    slice_tree,
+)
 
 __all__ = [
     "PresortedMatrix",
@@ -119,46 +133,16 @@ class PresortedMatrix:
         columns = np.asarray(columns, dtype=np.intp)
         return PresortedMatrix(self.X[:, columns], order=self.order[columns])
 
-    def subsample_order(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Derived order for the (multi)set sample ``rows``, no re-sorting.
-
-        Returns ``(order, sample_sorted)``: ``sample_sorted`` is the sample
-        canonicalised to ascending original-row order (duplicates kept
-        adjacent) and ``order`` is the (d, m) per-column sorted order in
-        sampled-instance ids (positions into ``sample_sorted``).
-        """
-        rows = np.asarray(rows, dtype=np.intp)
-        n = self.n_rows
-        counts = np.bincount(rows, minlength=n)
-        occupied = counts > 0
-
-        # Per column: keep sampled rows (stable filter preserves sorted
-        # order), then expand each kept row to its multiplicity.
-        flat = self.order.ravel()
-        kept = flat[occupied[flat]]                       # (d * m0,)
-        reps = counts[kept]
-        expanded = np.repeat(kept, reps)                  # (d * m,)
-
-        # Map original row ids to sampled-space ids: sampled instance t is
-        # the t-th entry of the ascending-row expansion of the sample.
-        sample_sorted = np.repeat(np.arange(n), counts)
-        offsets = np.zeros(n, dtype=np.intp)
-        offsets[occupied] = np.cumsum(counts[occupied]) - counts[occupied]
-        run_starts = np.cumsum(reps) - reps
-        occurrence = np.arange(expanded.size) - np.repeat(run_starts, reps)
-        new_ids = offsets[expanded] + occurrence
-
-        d, m = self.n_cols, int(counts.sum())
-        return new_ids.reshape(d, m), sample_sorted
-
     def subsample(self, rows: np.ndarray) -> tuple["PresortedMatrix", np.ndarray]:
-        """Presort of the sample ``rows`` as a standalone matrix.
+        """Presort of the (multi)set sample ``rows``, no re-sorting.
 
-        Returns ``(presort, sample_sorted)``; the presort covers
-        ``X[sample_sorted]``.  Ensemble fits that share one instance space
-        use :meth:`subsample_order` directly and skip the matrix copies.
+        Returns ``(presort, sample_sorted)``: ``sample_sorted`` is the
+        sample in ascending original-row order (duplicates adjacent) and
+        the presort covers ``X[sample_sorted]``.  Ensemble fits share one
+        instance space instead (:func:`_forest_instance_space`) and skip
+        the matrix copies.
         """
-        order, sample_sorted = self.subsample_order(rows)
+        order, _, sample_sorted = _expand_draws(*_forest_instance_space(self, [rows]))
         return PresortedMatrix(self.X[sample_sorted], order=order), sample_sorted
 
 
@@ -393,11 +377,11 @@ class _Frontier:
     ids sorted by column ``c``, row ``d`` holds them in ascending-id order
     (used for reference-order payload accumulation).  All rows share the
     same node segmentation ``starts``.  In lockstep-forest mode the
-    instance space is the concatenation of every member's (canonicalised)
-    bootstrap sample and the initial segments are the per-tree blocks.
-    Splits are applied by stable partition: one ``child-id`` stable argsort
-    per level keeps every column's sorted order intact below the root
-    without ever re-sorting.
+    instance space is the concatenation of every member's bootstrap
+    instances and the initial segments are the per-tree blocks.  Splits
+    are applied by stable partition: one ``child-id`` stable argsort per
+    level keeps every column's sorted order intact below the root without
+    ever re-sorting.
     """
 
     def __init__(self, order: np.ndarray, starts: np.ndarray):
@@ -424,22 +408,24 @@ class _Frontier:
     ) -> None:
         """Stable-partition every column's order around the routed splits.
 
-        One stable (radix) argsort of small child ids per level keeps
-        every column's sorted order intact below the root without ever
+        One stable argsort of small child ids per level keeps every
+        column's sorted order intact below the root without ever
         re-sorting by feature value; instances of non-splitting nodes
-        leave the frontier.  Child ids are int32 so the radix sort moves
-        half the bytes.
+        leave the frontier.  numpy's stable sort is a radix sort only for
+        types of 16 bits or less (timsort otherwise), so child ids are
+        int16 whenever the level's ``2 * n_split`` ids fit, int32 beyond.
         """
         n_split = split_nodes.size
-        child_of_instance = np.full(self.n_instances, -1, dtype=np.int32)
+        id_type = np.int16 if 2 * n_split <= np.iinfo(np.int16).max else np.int32
+        child_of_instance = np.full(self.n_instances, -1, dtype=id_type)
         split_flag = np.zeros(self.sizes.size, dtype=bool)
         split_flag[split_nodes] = True
-        local = np.zeros(self.sizes.size, dtype=np.int32)
-        local[split_nodes] = np.arange(n_split, dtype=np.int32)
+        local = np.zeros(self.sizes.size, dtype=id_type)
+        local[split_nodes] = np.arange(n_split, dtype=id_type)
         pos_mask = split_flag[node_of_pos]
         inst = self.order[-1][pos_mask]
         base = local[node_of_pos[pos_mask]] * 2
-        child_of_instance[inst] = base + (~go_left_of_instance[inst]).astype(np.int32)
+        child_of_instance[inst] = base + (~go_left_of_instance[inst]).astype(id_type)
 
         child = child_of_instance[self.order]
         keep = child >= 0
@@ -534,27 +520,38 @@ def _route_level(
 
 
 # ----------------------------------------------------------- split scanning
-def _scan_classification_unit(
+def _segment_offsets(prefix: np.ndarray, starts_c: np.ndarray) -> np.ndarray:
+    """Per-segment starting value of a global prefix sum (row 0 = zeros)."""
+    offset = np.zeros((starts_c.size - 1,) + prefix.shape[1:])
+    offset[1:] = prefix[starts_c[1:-1] - 1]
+    return offset
+
+
+def _scan_classification_segmented(
     XT: np.ndarray,
     row_of_instance: np.ndarray | None,
     frontier: _Frontier,
     split_idx: np.ndarray,
     cand: np.ndarray | None,
     y: np.ndarray,
+    draws: np.ndarray | None,
+    node_draws: np.ndarray,
     n_classes: int,
     params,
     parent_impurity: np.ndarray,
     node_of_pos: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Unit-weight split scan: one segmented pass over the whole level.
+    """Integer-weight split scan: one segmented pass over the whole level.
 
-    With unit weights every prefix count is an exact small integer, so a
+    With unit weights, or integer draw counts (``draws``, indexed by
+    instance id), every prefix count is an exact small integer, so a
     *global* cumsum over the concatenated node segments minus each
     segment's starting offset reproduces the per-node cumsums bit-for-bit
     — no padding, no per-bucket chunking, one numpy pass per level
     regardless of how many frontier nodes (or lockstep trees) there are.
-    ``cand`` and ``parent_impurity`` are aligned with ``split_idx`` order;
-    ``y`` is indexed by instance id.
+    ``cand``, ``parent_impurity`` and ``node_draws`` (per-node weight
+    totals) are aligned with ``split_idx`` order; ``y`` is indexed by
+    instance id.
     """
     order = frontier.order
     d = XT.shape[0]
@@ -577,14 +574,17 @@ def _scan_classification_unit(
     n_cand = d if cand is None else cand.shape[1]
     col_cap = max(1, _VECTOR_CELLS // max(1, m_lvl * n_classes))
     positions = np.arange(m_lvl, dtype=np.intp)[:, None]
-    # Unit weights make candidate child sizes pure positions: n_left at
-    # in-segment position p is exactly p + 1.  Same exact integers as
-    # ``left.sum(-1)`` / ``right.sum(-1)``, at (columns x classes) less
-    # arithmetic per level.
-    local_pos = np.arange(m_lvl) - np.repeat(starts_c[:-1], sizes)
-    n_left = (local_pos + 1).astype(np.float64)[:, None]
-    n_right = np.repeat(sizes, sizes).astype(np.float64)[:, None] - n_left
-    size_valid = (n_left >= params.min_bucket) & (n_right >= params.min_bucket)
+    # Candidate child sizes are the same exact integers as ``left.sum(-1)``
+    # / ``right.sum(-1)``, at (columns x classes) less arithmetic per
+    # level.  Unit weights make them pure positions (n_left at in-segment
+    # position p is p + 1, for every column); draw counts make them a
+    # segmented cumsum of the draws in each candidate column's order.
+    node_total = np.repeat(node_draws, sizes)[:, None]
+    if draws is None:
+        local_pos = np.arange(m_lvl) - np.repeat(starts_c[:-1], sizes)
+        n_left = (local_pos + 1).astype(np.float64)[:, None]
+        n_right = node_total - n_left
+        size_valid = (n_left >= params.min_bucket) & (n_right >= params.min_bucket)
     for c_lo in range(0, n_cand, col_cap):
         c_hi = min(n_cand, c_lo + col_cap)
         c = c_hi - c_lo
@@ -599,10 +599,17 @@ def _scan_classification_unit(
         ys = y[inst]
 
         onehot = np.zeros((m_lvl, c, n_classes))
-        np.put_along_axis(onehot, ys[..., None], 1.0, axis=2)
+        if draws is None:
+            np.put_along_axis(onehot, ys[..., None], 1.0, axis=2)
+        else:
+            ws = draws[inst]                                  # (m_lvl, C)
+            np.put_along_axis(onehot, ys[..., None], ws[..., None], axis=2)
+            n_left = np.cumsum(ws, axis=0, out=ws)
+            n_left -= np.repeat(_segment_offsets(n_left, starts_c), sizes, axis=0)
+            n_right = node_total - n_left
+            size_valid = (n_left >= params.min_bucket) & (n_right >= params.min_bucket)
         gprefix = np.cumsum(onehot, axis=0, out=onehot)
-        offset = np.zeros((n_split, c, n_classes))
-        offset[1:] = gprefix[starts_c[1:-1] - 1]
+        offset = _segment_offsets(gprefix, starts_c)
         totals = gprefix[seg_ends] - offset                   # (F, C, k)
         gprefix -= np.repeat(offset, sizes, axis=0)
         left = gprefix
@@ -895,14 +902,18 @@ class _NodeLog:
         self.next_id += n_front
         self.level_bounds.append(self.next_id)
 
-    def assemble(self, n_trees: int) -> list[tuple[dict[str, np.ndarray], np.ndarray]]:
-        """Per-tree pre-order (arrays, payload) from the BFS log.
+    def assemble(
+        self, n_trees: int
+    ) -> tuple[dict[str, np.ndarray], np.ndarray, np.ndarray]:
+        """Packed pre-order ``(arrays, payload, tree_offsets)`` from the log.
 
-        Children always live one level below their parent, so subtree
-        sizes flow bottom-up and pre-order positions top-down with one
-        vectorized pass per level — across all lockstep trees at once
-        (every level-0 node is a root at pre-order position 0 of its own
-        tree).
+        Tree ``t`` occupies rows ``tree_offsets[t]:tree_offsets[t + 1]``
+        in pre-order; ``left``/``right`` are global row indices into the
+        packed table.  Children always live one level below their
+        parent, so subtree sizes flow bottom-up and pre-order positions
+        top-down with one vectorized pass per level — across all lockstep
+        trees at once (every level-0 node is a root at pre-order position
+        0 of its own tree).
         """
         feature = np.concatenate(self.features)
         threshold = np.concatenate(self.thresholds)
@@ -936,30 +947,30 @@ class _NodeLog:
         threshold_p = np.zeros(n, dtype=np.float64)
         left_p = np.full(n, -1, dtype=np.intp)
         right_p = np.full(n, -1, dtype=np.intp)
-        parent_p = np.full(n, -1, dtype=np.intp)
         payload_p = np.empty_like(payload)
         feature_p[gpos] = feature
         threshold_p[gpos] = threshold
         payload_p[gpos] = payload
         idx = np.flatnonzero(internal)
         if idx.size:
-            left_p[gpos[idx]] = pre[left[idx]]
-            right_p[gpos[idx]] = pre[right[idx]]
-            parent_p[gpos[left[idx]]] = pre[idx]
-            parent_p[gpos[right[idx]]] = pre[idx]
+            left_p[gpos[idx]] = gpos[left[idx]]
+            right_p[gpos[idx]] = gpos[right[idx]]
+        arrays = {
+            "feature": feature_p,
+            "threshold": threshold_p,
+            "left": left_p,
+            "right": right_p,
+        }
+        return arrays, payload_p, tree_offsets
 
-        out = []
-        for t in range(n_trees):
-            lo, hi = tree_offsets[t], tree_offsets[t + 1]
-            arrays = {
-                "feature": feature_p[lo:hi].copy(),
-                "threshold": threshold_p[lo:hi].copy(),
-                "left": left_p[lo:hi].copy(),
-                "right": right_p[lo:hi].copy(),
-                "parent": parent_p[lo:hi].copy(),
-            }
-            out.append((arrays, payload_p[lo:hi].copy()))
-        return out
+
+def _split_trees(packed, cls) -> list:
+    """One standalone pre-order ``cls`` tree per block of a packed table."""
+    arrays, payload, tree_offsets = packed
+    return [
+        cls(slice_tree(arrays, lo, hi), payload[lo:hi].copy())
+        for lo, hi in zip(tree_offsets[:-1], tree_offsets[1:])
+    ]
 
 
 def _grow_classification(
@@ -972,20 +983,29 @@ def _grow_classification(
     n_classes: int,
     params,
     tree_seeds: np.ndarray | None,
-) -> list[FlatTree]:
+    draws_inst: np.ndarray | None = None,
+) -> tuple[dict[str, np.ndarray], np.ndarray, np.ndarray]:
     """Lockstep breadth-first growth over one or many trees.
 
     ``order0``/``starts0`` describe the initial instance space: one segment
-    per tree, each segment presorted per column.  ``tree_seeds`` (uint64
-    per tree) drive the hash feature sampler when ``max_features`` is
-    active.  Returns one pre-order :class:`FlatTree` per initial segment.
+    per tree, each segment presorted per column.  Instances carry float
+    ``weights_inst`` (padded scan; ``min_split`` counts instances), integer
+    ``draws_inst`` bootstrap multiplicities (segmented scan; ``min_split``
+    and ``min_bucket`` count draws), or neither (unit weights).
+    ``tree_seeds`` (uint64 per tree) drive the hash feature sampler when
+    ``max_features`` is active.  Returns the packed pre-order node table
+    of :meth:`_NodeLog.assemble`.
     """
     n_trees = starts0.shape[0] - 1
     d = XT.shape[0]
-    unit = weights_inst is None
-    weights = (
-        np.ones(y_inst.shape[0], dtype=np.float64) if unit else weights_inst
-    )
+    # Integer weights (unit or draw counts) take the segmented scan.
+    segmented = weights_inst is None
+    if draws_inst is not None:
+        weights = draws_inst
+    elif segmented:
+        weights = np.ones(y_inst.shape[0], dtype=np.float64)
+    else:
+        weights = weights_inst
     subsampling = (
         params.max_features is not None and params.max_features < d
     )
@@ -1007,10 +1027,13 @@ def _grow_classification(
             node_of_pos, y_inst[inst], weights[inst],
             n_front, n_classes,
         )
+        # The reference's node size: its sample's instance count, which on
+        # the multiplicity path is the node's draw count.
+        n_node = sizes if draws_inst is None else counts.sum(axis=1)
 
         stopped = (
             (depth >= params.max_depth)
-            | (sizes < params.min_split)
+            | (n_node < params.min_split)
             | (np.count_nonzero(counts, axis=1) <= 1)
         )
         split_idx = np.flatnonzero(~stopped)
@@ -1029,11 +1052,11 @@ def _grow_classification(
                 )
                 if subsampling else None
             )
-            if unit:
-                score, feat, thr = _scan_classification_unit(
+            if segmented:
+                score, feat, thr = _scan_classification_segmented(
                     XT, row_of_instance, frontier, split_idx, cand,
-                    y_inst, n_classes, params, parent_impurity[split_idx],
-                    node_of_pos,
+                    y_inst, draws_inst, n_node[split_idx].astype(np.float64),
+                    n_classes, params, parent_impurity[split_idx], node_of_pos,
                 )
             else:
                 score, feat, thr = _scan_classification_padded(
@@ -1066,10 +1089,7 @@ def _grow_classification(
         node_tree = np.repeat(node_tree[splitting], 2)
         depth += 1
 
-    return [
-        FlatTree(arrays, payload)
-        for arrays, payload in log.assemble(n_trees)
-    ]
+    return log.assemble(n_trees)
 
 
 def _grow_regression(
@@ -1083,7 +1103,7 @@ def _grow_regression(
     min_bucket: int,
     max_features: int | None,
     tree_seeds: np.ndarray | None,
-) -> list[FlatRegressionTree]:
+) -> tuple[dict[str, np.ndarray], np.ndarray, np.ndarray]:
     """Lockstep regression twin of :func:`_grow_classification`."""
     n_trees = starts0.shape[0] - 1
     d = XT.shape[0]
@@ -1151,10 +1171,7 @@ def _grow_regression(
         node_tree = np.repeat(node_tree[splitting], 2)
         depth += 1
 
-    return [
-        FlatRegressionTree(arrays, payload)
-        for arrays, payload in log.assemble(n_trees)
-    ]
+    return log.assemble(n_trees)
 
 
 #: Upper bound on the concatenated instance count of one lockstep group.
@@ -1181,26 +1198,64 @@ def _sample_groups(samples: list[np.ndarray]) -> list[tuple[int, int]]:
 def _forest_instance_space(
     presort: PresortedMatrix, samples: list[np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Concatenated per-tree instance space for lockstep growth.
+    """Multiplicity instance space for lockstep classification growth.
 
-    Returns ``(order0, starts0, row_of_instance, tree_row_lists)`` where
-    each tree's canonicalised sample occupies one block of the shared
-    instance space and ``row_of_instance`` maps instance ids back to rows
-    of the base matrix.
+    Returns ``(order0, starts0, row_of_instance, draws)``: tree ``t``'s
+    block holds one instance per *distinct* row of its sample, ascending,
+    and ``draws`` is each instance's draw count (float64, exact integers).
+    Built for all trees at once: one bincount of the draws, one gather of
+    the root order through the (tree, row) -> instance map, one stable
+    filter — no per-tree pass, no duplicate expansion.
     """
-    orders = []
-    row_lists = []
-    base = 0
-    starts = [0]
-    for sample in samples:
-        order_t, rows_t = presort.subsample_order(sample)
-        orders.append(order_t + base)
-        row_lists.append(rows_t)
-        base += rows_t.shape[0]
-        starts.append(base)
-    order0 = np.concatenate(orders, axis=1)
-    row_of_instance = np.concatenate(row_lists)
-    return order0, np.asarray(starts, dtype=np.intp), row_of_instance, row_lists
+    n = presort.n_rows
+    n_trees = len(samples)
+    lengths = np.array([len(sample) for sample in samples], dtype=np.intp)
+    tree_of_draw = np.repeat(np.arange(n_trees, dtype=np.intp) * n, lengths)
+    keys = tree_of_draw + np.concatenate(samples).astype(np.intp, copy=False)
+    draw_counts = np.bincount(keys, minlength=n_trees * n).reshape(n_trees, n)
+    occupied = draw_counts > 0
+    n_inst = int(np.count_nonzero(occupied))
+    # Instance id of every (tree, row), -1 where the row was not drawn;
+    # int32 halves the (trees, d, n) gather below.
+    inst_of = np.cumsum(occupied, axis=None, dtype=np.int32).reshape(n_trees, n) - 1
+    inst_of[~occupied] = -1
+    # Column c of the result lists tree 0's instances in column-c order,
+    # then tree 1's, ...: the stable filter of the root order per tree.
+    gathered = np.take(inst_of, presort.order, axis=1).transpose(1, 0, 2)
+    order0 = gathered[gathered >= 0].astype(np.intp).reshape(presort.n_cols, n_inst)
+    starts0 = np.concatenate(([0], np.cumsum(occupied.sum(axis=1)))).astype(np.intp)
+    row_of_instance = np.nonzero(occupied)[1]
+    draws = draw_counts[occupied].astype(np.float64)
+    return order0, starts0, row_of_instance, draws
+
+
+def _expand_draws(
+    order0: np.ndarray,
+    starts0: np.ndarray,
+    row_of_instance: np.ndarray,
+    draws: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Expand a multiplicity instance space into one instance per draw.
+
+    Instance ``i`` becomes ``draws[i]`` consecutive instances, so each
+    tree's block is its sample in ascending-row order, duplicates
+    adjacent, and every column order lists a row's copies side by side.
+    Returns ``(order0, starts0, row_of_instance)`` of the expansion.
+    """
+    reps = draws.astype(np.intp)
+    # first_copy[i]: expanded id of instance i's first copy (and, at the
+    # end, the total), so first_copy[starts0] are the expanded tree bounds.
+    first_copy = np.concatenate(([0], np.cumsum(reps)))
+    flat = order0.ravel()
+    flat_reps = reps[flat]
+    run_starts = np.cumsum(flat_reps) - flat_reps
+    copy_index = np.arange(flat_reps.sum()) - np.repeat(run_starts, flat_reps)
+    expanded = np.repeat(first_copy[flat], flat_reps) + copy_index
+    return (
+        expanded.reshape(order0.shape[0], -1),
+        first_copy[starts0],
+        np.repeat(row_of_instance, reps),
+    )
 
 
 # ------------------------------------------------------------- public fits
@@ -1226,10 +1281,11 @@ def fit_flat_tree(
         assert rng is not None, "max_features requires an rng"
         tree_seeds = np.array([draw_tree_seed(rng)], dtype=np.uint64)
     starts0 = np.array([0, y.shape[0]], dtype=np.intp)
-    return _grow_classification(
+    packed = _grow_classification(
         presort.XT, None, presort.order, starts0,
         y, weights, n_classes, params, tree_seeds,
-    )[0]
+    )
+    return _split_trees(packed, FlatTree)[0]
 
 
 def fit_flat_forest(
@@ -1239,35 +1295,39 @@ def fit_flat_forest(
     params,
     samples: list[np.ndarray],
     tree_seeds: list[int] | None = None,
-) -> list[FlatTree]:
+) -> FlatForest:
     """Fit one classification tree per bootstrap sample, in lockstep.
 
-    Every member's (canonicalised) sample becomes a block of one shared
-    instance space, so the whole ensemble advances level by level through
-    the same vectorized scans — the per-level dispatch cost is paid once
-    per forest, not once per tree.  ``tree_seeds`` must be one
-    ``draw_tree_seed`` result per member when ``params.max_features`` is
-    active, drawn in member order (matching the sequential reference's rng
-    consumption).  Unit instance weights only (the ensemble callers never
-    combine bootstrap with weights).
+    Every member's sample becomes a block of one shared instance space —
+    one instance per distinct row, weighted by its draw count — so the
+    whole ensemble advances level by level through the same vectorized
+    scans: the per-level dispatch cost is paid once per forest, not once
+    per tree.  Member ``t`` is node-for-node ``build_tree(X[samples[t]],
+    y[samples[t]])``.  ``tree_seeds`` must be one ``draw_tree_seed``
+    result per member when ``params.max_features`` is active, drawn in
+    member order (matching the sequential reference's rng consumption).
+    No instance weights (the ensemble callers never combine bootstrap
+    with weights).  Returns the members packed into one
+    :class:`FlatForest`.
     """
     y = np.asarray(y, dtype=np.int64)
     seeds = (
         np.asarray(tree_seeds, dtype=np.uint64) if tree_seeds is not None else None
     )
-    out: list[FlatTree] = []
+    groups = []
     for lo, hi in _sample_groups(samples):
-        order0, starts0, row_of_instance, _ = _forest_instance_space(
+        order0, starts0, row_of_instance, draws = _forest_instance_space(
             presort, samples[lo:hi]
         )
-        out.extend(
-            _grow_classification(
-                presort.XT, row_of_instance, order0, starts0,
-                y[row_of_instance], None, n_classes, params,
-                None if seeds is None else seeds[lo:hi],
-            )
-        )
-    return out
+        groups.append(FlatForest(*_grow_classification(
+            presort.XT, row_of_instance, order0, starts0,
+            y[row_of_instance], None, n_classes, params,
+            None if seeds is None else seeds[lo:hi],
+            draws_inst=draws,
+        )))
+    if len(groups) == 1:
+        return groups[0]
+    return FlatForest.from_trees([tree for group in groups for tree in group])
 
 
 def fit_flat_regression_tree(
@@ -1293,10 +1353,11 @@ def fit_flat_regression_tree(
         assert rng is not None, "max_features requires an rng"
         tree_seeds = np.array([draw_tree_seed(rng)], dtype=np.uint64)
     starts0 = np.array([0, y.shape[0]], dtype=np.intp)
-    return _grow_regression(
+    packed = _grow_regression(
         presort.XT, None, presort.order, starts0,
         y, max_depth, min_split, min_bucket, max_features, tree_seeds,
-    )[0]
+    )
+    return _split_trees(packed, FlatRegressionTree)[0]
 
 
 def fit_flat_regression_forest(
@@ -1316,14 +1377,13 @@ def fit_flat_regression_forest(
     )
     out: list[FlatRegressionTree] = []
     for lo, hi in _sample_groups(samples):
-        order0, starts0, row_of_instance, _ = _forest_instance_space(
-            presort, samples[lo:hi]
+        order0, starts0, row_of_instance = _expand_draws(
+            *_forest_instance_space(presort, samples[lo:hi])
         )
-        out.extend(
-            _grow_regression(
-                presort.XT, row_of_instance, order0, starts0,
-                y[row_of_instance], max_depth, min_split, min_bucket, max_features,
-                None if seeds is None else seeds[lo:hi],
-            )
+        packed = _grow_regression(
+            presort.XT, row_of_instance, order0, starts0,
+            y[row_of_instance], max_depth, min_split, min_bucket, max_features,
+            None if seeds is None else seeds[lo:hi],
         )
+        out.extend(_split_trees(packed, FlatRegressionTree))
     return out
