@@ -16,6 +16,7 @@ from repro.classifiers.tree import (
     TreeParams,
     cost_complexity_prune_flat,
     fit_flat_forest,
+    restore_forest_state,
 )
 from repro.classifiers.tree.presort import presort_for
 from repro.evaluation.resampling import bootstrap_indices
@@ -71,3 +72,6 @@ class Bagging(Classifier):
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         X = self._check_predict_ready(X)
         return self.trees_.predict_proba(X)
+
+    def __setstate__(self, state: dict) -> None:
+        restore_forest_state(self, state)

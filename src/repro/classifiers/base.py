@@ -35,10 +35,11 @@ ship models across memory/process boundaries this way.  Concretely:
   neighbour orderings, densities) must either be dropped in
   ``__getstate__`` and rebuilt on demand to the same bits — the
   ``Substrate`` convention — or be a pure function of serialised state;
-* no family needs a custom hook unless it holds such caches: the default
-  ``__dict__``/``__slots__`` state is serialised as-is by the registry's
-  typed codec (:mod:`repro.serving.codec`), with array dtypes and byte
-  order pinned.
+* no family needs a custom hook unless it holds such caches or must read
+  an older state layout (the forests pack a per-tree list on load): the
+  default ``__dict__``/``__slots__`` state is serialised as-is by the
+  registry's typed codec (:mod:`repro.serving.codec`), with array dtypes
+  and byte order pinned.
 
 ``tests/test_serving_registry.py`` enforces the round-trip for every
 registry entry, so a new family is covered the moment it is registered.

@@ -14,6 +14,7 @@ from repro.classifiers.tree import (
     TreeParams,
     draw_tree_seed,
     fit_flat_forest,
+    restore_forest_state,
 )
 from repro.classifiers.tree.presort import presort_for
 from repro.evaluation.resampling import bootstrap_indices
@@ -80,3 +81,6 @@ class RandomForest(Classifier):
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         X = self._check_predict_ready(X)
         return self.trees_.predict_proba(X)
+
+    def __setstate__(self, state: dict) -> None:
+        restore_forest_state(self, state)

@@ -23,6 +23,7 @@ from repro.classifiers.tree.flat import (
     FlatRegressionTree,
     FlatTree,
     flatten_structure,
+    restore_forest_state,
 )
 from repro.classifiers.tree.presort import (
     FeatureSampler,
@@ -56,6 +57,7 @@ __all__ = [
     "FlatForest",
     "FlatRegressionTree",
     "flatten_structure",
+    "restore_forest_state",
     "TreeNode",
     "TreeParams",
     "build_tree",

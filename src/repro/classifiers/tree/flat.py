@@ -30,6 +30,7 @@ __all__ = [
     "FlatForest",
     "FlatRegressionTree",
     "flatten_structure",
+    "restore_forest_state",
     "slice_tree",
 ]
 
@@ -111,6 +112,40 @@ def slice_tree(
     }
 
 
+#: Root of a standalone tree, as a one-element roots array for ``_route``.
+_ROOT = np.zeros(1, dtype=np.intp)
+
+
+def _route(
+    feature: np.ndarray,
+    threshold: np.ndarray,
+    left: np.ndarray,
+    right: np.ndarray,
+    roots: np.ndarray,
+    X: np.ndarray,
+) -> np.ndarray:
+    """(roots, rows) node index of the leaf each (root, row) pair reaches.
+
+    Level-synchronous: every still-internal pair advances one level per
+    pass, so a node table holding one tree (``roots == [0]``) or a packed
+    forest (one root per member) costs O(max depth) numpy passes.
+    """
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    n_rows, d = X.shape
+    flat_x = X.ravel()
+    idx = np.repeat(roots, n_rows)
+    # Offset of each pair's row in ``flat_x``; the column is added per level.
+    row_base = np.tile(np.arange(n_rows, dtype=np.intp) * d, len(roots))
+    active = np.flatnonzero(feature[idx] >= 0)
+    while active.size:
+        sub = idx[active]
+        go_left = flat_x[row_base[active] + feature[sub]] <= threshold[sub]
+        nxt = np.where(go_left, left[sub], right[sub])
+        idx[active] = nxt
+        active = active[feature[nxt] >= 0]
+    return idx.reshape(len(roots), n_rows)
+
+
 class _FlatBase:
     """Structural arrays + the vectorized traversal shared by both payloads."""
 
@@ -126,15 +161,9 @@ class _FlatBase:
 
     def apply(self, X: np.ndarray) -> np.ndarray:
         """Node index of the leaf reached by each row (level-synchronous)."""
-        X = np.asarray(X, dtype=np.float64)
-        idx = np.zeros(X.shape[0], dtype=np.intp)
-        active = np.flatnonzero(self.feature[idx] >= 0)
-        while active.size:
-            sub = idx[active]
-            go_left = X[active, self.feature[sub]] <= self.threshold[sub]
-            idx[active] = np.where(go_left, self.left[sub], self.right[sub])
-            active = active[self.feature[idx[active]] >= 0]
-        return idx
+        return _route(
+            self.feature, self.threshold, self.left, self.right, _ROOT, X
+        )[0]
 
     def path_conditions(self, node: int) -> list[tuple[int, bool, float]]:
         """Root-to-``node`` path as ``(feature, went_left, threshold)`` tests."""
@@ -198,8 +227,11 @@ class FlatRegressionTree(_FlatBase):
 
 
 #: Upper bound on the (tree, row) pairs one packed traversal routes at
-#: once; larger batches are cut into row blocks so the per-pair workspace
-#: (node ids, leaf probabilities) stays a few MB.
+#: once.  A small batch routes through every tree in one block; a large one
+#: through a run of trees at a time (cut into row blocks past this many
+#: rows), so each level pass reads the nodes of few trees and the per-pair
+#: workspace stays a few MB.  2**16 was the fastest block in a sweep of
+#: 2**12-2**20 at 2k and 10k rows x 100 trees (docs/benchmarks.md).
 _FOREST_PAIRS = 1 << 16
 
 
@@ -268,40 +300,52 @@ class FlatForest:
 
     def apply(self, X: np.ndarray) -> np.ndarray:
         """(trees, rows) global node index of the leaf each pair reaches."""
-        X = np.ascontiguousarray(X, dtype=np.float64)
-        n_rows, d = X.shape
-        flat_x = X.ravel()
-        idx = np.repeat(self.offsets[:-1], n_rows)
-        # Offset of each pair's row in ``flat_x``; the column is added per level.
-        row_base = np.tile(np.arange(n_rows, dtype=np.intp) * d, len(self))
-        active = np.flatnonzero(self.feature[idx] >= 0)
-        while active.size:
-            sub = idx[active]
-            feat = self.feature[sub]
-            go_left = flat_x[row_base[active] + feat] <= self.threshold[sub]
-            nxt = np.where(go_left, self.left[sub], self.right[sub])
-            idx[active] = nxt
-            active = active[self.feature[nxt] >= 0]
-        return idx.reshape(len(self), n_rows)
+        return _route(
+            self.feature, self.threshold, self.left, self.right,
+            self.offsets[:-1], X,
+        )
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         """Mean of the members' leaf probabilities.
 
         Bit-identical to ``total = zeros; total += tree.predict_proba(X)``
-        over the members in order, then ``total /= len(trees)``.  The sum
-        runs over the leading (tree) axis of a C-contiguous (trees, rows,
-        classes) block — not numpy's fast axis, so each tree's slice is
-        added to the running total in tree order, no pairwise
-        regrouping — and ``0.0 + p == p`` for the first tree.  (A
-        (trees, 1, 1) block is summed pairwise, but with one class every
-        probability is exactly 1.0 and the sum is exact in any order.)
+        over the members in order, then ``total /= len(trees)``.  Each
+        block's leaf probabilities are stacked under the running total in a
+        C-contiguous (1 + trees, rows, classes) buffer and summed over the
+        leading axis — not numpy's fast axis, so the slices are added one
+        by one in tree order, no pairwise regrouping.  (A (trees, 1, 1)
+        block is summed pairwise, but with one class every probability is
+        exactly 1.0 and the sum is exact in any order.)
         """
         X = np.ascontiguousarray(X, dtype=np.float64)
-        n_rows = X.shape[0]
-        total = np.empty((n_rows, self.n_classes), dtype=np.float64)
-        block = max(1, _FOREST_PAIRS // max(1, len(self)))
-        for lo in range(0, n_rows, block):
-            leaf_proba = self.proba[self.apply(X[lo : lo + block])]
-            np.sum(leaf_proba, axis=0, out=total[lo : lo + block])
-        total /= len(self)
+        n_rows, n_trees = X.shape[0], len(self)
+        total = np.zeros((n_rows, self.n_classes), dtype=np.float64)
+        trees_per_block = max(1, min(n_trees, _FOREST_PAIRS // max(1, n_rows)))
+        rows_per_block = max(1, _FOREST_PAIRS // trees_per_block)
+        for t in range(0, n_trees, trees_per_block):
+            roots = self.offsets[t : min(n_trees, t + trees_per_block)]
+            for lo in range(0, n_rows, rows_per_block):
+                out = total[lo : lo + rows_per_block]
+                idx = _route(
+                    self.feature, self.threshold, self.left, self.right,
+                    roots, X[lo : lo + rows_per_block],
+                )
+                stack = np.empty((len(roots) + 1,) + out.shape, dtype=np.float64)
+                stack[0] = out
+                np.take(self.proba, idx, axis=0, out=stack[1:])
+                np.sum(stack, axis=0, out=out)
+        total /= n_trees
         return total
+
+
+def restore_forest_state(model, state: dict) -> None:
+    """``__setstate__`` of the forest classifiers.
+
+    Snapshots written before forests were packed hold ``trees_`` as a list
+    of :class:`FlatTree`; it is packed on load, and the packed sum equals
+    the per-tree loop those models predicted with, so such a snapshot
+    predicts the same bits it did when it was saved.
+    """
+    model.__dict__.update(state)
+    if isinstance(model.__dict__.get("trees_"), list):
+        model.trees_ = FlatForest.from_trees(model.trees_)

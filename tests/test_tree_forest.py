@@ -9,6 +9,7 @@ forests are stored packed (:class:`FlatForest`), and the one-traversal
 
 import copy
 import marshal
+import pickle
 
 import numpy as np
 import pytest
@@ -28,10 +29,14 @@ from repro.classifiers.tree import (
     fit_flat_forest,
     fit_flat_regression_forest,
 )
+from repro.classifiers.tree import flat as flat_mod
 from repro.classifiers.tree.criteria import _sum_classes
+from repro.core.result import SmartMLResult
+from repro.data import SyntheticSpec, make_dataset
 from repro.evaluation.resampling import bootstrap_indices
 from repro.hpo.surrogate import build_regression_tree_recursive
-from repro.serving import decode_state, encode_state
+from repro.preprocess import Imputer, Pipeline
+from repro.serving import ModelRegistry, decode_state, encode_state
 
 
 def assert_flat_equal(a, b):
@@ -232,6 +237,23 @@ def test_large_batches_route_in_row_blocks():
     assert np.array_equal(full[700:701], model.predict_proba(Xt[700:701]))
 
 
+@pytest.mark.parametrize("pairs", [1, 20, 100, 200, 1 << 16])
+def test_blocks_cut_anywhere_predict_the_same_bits(pairs, monkeypatch):
+    # 37 rows x 13 trees: single pairs, one tree over row blocks, runs of
+    # 2 and 5 trees (ragged last run) and one block: the running sum must
+    # stay in tree order wherever the blocks are cut.
+    rng = np.random.default_rng(9)
+    X = rng.normal(size=(120, 5))
+    y = rng.integers(0, 3, size=120)
+    model = RandomForest(ntree=13, nodesize=2, seed=6).fit(X, y)
+    Xt = rng.normal(size=(37, 5))
+    expected = _per_tree_proba(model.trees_, Xt)
+    monkeypatch.setattr(flat_mod, "_FOREST_PAIRS", pairs)
+    got = model.predict_proba(Xt)
+    assert np.array_equal(expected.view(np.uint64), got.view(np.uint64))
+    assert model.predict_proba(Xt[:0]).shape == (0, 3)
+
+
 def test_from_trees_round_trips_members():
     rng = np.random.default_rng(12)
     X = rng.normal(size=(80, 4))
@@ -281,7 +303,48 @@ def test_forest_snapshot_roundtrip_and_size(klass, kwargs):
     # The per-tree list layout forests were stored in before packing.
     per_tree = copy.copy(model)
     per_tree.trees_ = list(model.trees_)
-    assert len(blob) <= len(marshal.dumps(encode_state(per_tree)))
+    legacy_blob = marshal.dumps(encode_state(per_tree))
+    assert len(blob) <= len(legacy_blob)
+
+    # A snapshot in that layout is packed on load and predicts the same bits.
+    for legacy in (decode_state(marshal.loads(legacy_blob)),
+                   pickle.loads(pickle.dumps(per_tree))):
+        assert isinstance(legacy.trees_, FlatForest)
+        for name in ("feature", "threshold", "left", "right", "counts", "offsets"):
+            assert np.array_equal(getattr(legacy.trees_, name),
+                                  getattr(model.trees_, name)), name
+        assert np.array_equal(model.predict_proba(Xt).view(np.uint64),
+                              legacy.predict_proba(Xt).view(np.uint64))
+
+
+@pytest.mark.parametrize("klass,kwargs", [
+    (RandomForest, dict(ntree=12, nodesize=2, seed=4)),
+    (Bagging, dict(nbagg=6, seed=4)),
+])
+def test_legacy_forest_snapshot_loads_from_registry(klass, kwargs, tmp_path):
+    train = make_dataset(SyntheticSpec(name="legacy-forest", n_instances=120,
+                                       n_features=5, n_classes=3, seed=8))
+    fresh = make_dataset(SyntheticSpec(name="legacy-fresh", n_instances=40,
+                                       n_features=5, n_classes=3, seed=9))
+    pipeline = Pipeline([Imputer()])
+    prepared = pipeline.fit_transform(train)
+    model = klass(**kwargs).fit(prepared.X, prepared.y, n_classes=train.n_classes)
+    expected = model.predict_proba(pipeline.transform(fresh).X)
+
+    # Register the model as the build before packing stored it: a list of
+    # per-tree FlatTree objects.
+    legacy = copy.copy(model)
+    legacy.trees_ = list(model.trees_)
+    result = SmartMLResult(
+        dataset_name=train.name, best_algorithm=klass.name, best_config=kwargs,
+        validation_accuracy=0.0, model=legacy, pipeline=pipeline,
+    )
+    ModelRegistry(tmp_path / "reg").register("legacy", result, dataset=train)
+
+    reloaded = ModelRegistry(tmp_path / "reg").load("legacy")
+    assert isinstance(reloaded.model.trees_, FlatForest)
+    got = reloaded.predict_rows(fresh.X, proba=True)
+    assert np.array_equal(expected.view(np.uint64), got.view(np.uint64))
 
 
 # ------------------------------------------------------------------- gini
