@@ -3,8 +3,8 @@
 Builds one bootstrap forest, then times ``predict_proba`` over a large batch
 through (a) the recursive per-row reference walkers, (b) the flat
 vectorized engine looping over per-tree ``FlatTree`` objects, and (c) the
-packed ``FlatForest`` that routes every (tree, row) pair in one traversal,
-asserting all three outputs are bit-identical.  Small batches (1 and 64
+packed ``FlatForest`` that routes the (tree, row) pairs of many trees in
+each level pass, asserting all three outputs are bit-identical.  Small batches (1 and 64
 rows: a lone serving request, a CV fold) are timed again for the flat and
 packed paths, where the per-tree loop's fixed per-level cost dominates.
 Writes ``BENCH_tree_engine.json`` at the repo root so future PRs have a
