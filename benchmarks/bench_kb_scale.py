@@ -35,6 +35,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import platform
 import tempfile
 import time
@@ -296,7 +297,7 @@ def main() -> None:
         "sharded_startup_seconds": round(sharded_startup_s, 6),
         "sharded_log_bytes": sharded_log_bytes,
         "sharded_snapshot_bytes": sharded_snapshot_bytes,
-        "drift_threshold": 0.0,
+        "cpu_count": os.cpu_count(),
         "python": platform.python_version(),
         "numpy": np.__version__,
     }

@@ -9,7 +9,6 @@ gradient keeps this fast for the small matrices this library works with.
 from __future__ import annotations
 
 import numpy as np
-from scipy import optimize
 
 from repro.classifiers.base import Classifier
 from repro.classifiers.substrate import substrate_for
@@ -71,6 +70,8 @@ class MultinomialLogisticRegression(Classifier):
             grad_w = Z.T @ diff + self.l2 * W
             grad_b = diff.sum(axis=0)
             return nll, np.concatenate([grad_w.ravel(), grad_b])
+
+        from scipy import optimize
 
         x0 = np.zeros(d * k + k)
         result = optimize.minimize(

@@ -10,7 +10,6 @@ where nnet uses BFGS).
 from __future__ import annotations
 
 import numpy as np
-from scipy import optimize
 
 from repro.classifiers.base import Classifier
 from repro.classifiers.linear import softmax
@@ -80,6 +79,8 @@ class NeuralNet(Classifier):
             return nll, np.concatenate(
                 [grad_w1.ravel(), grad_b1, grad_w2.ravel(), grad_b2]
             )
+
+        from scipy import optimize
 
         result = optimize.minimize(
             objective, x0, jac=True, method="L-BFGS-B",

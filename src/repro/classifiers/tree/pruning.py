@@ -26,7 +26,6 @@ what ``FlatTree.from_node`` of the recursively pruned tree would produce.
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
 
 from repro.classifiers.tree.builder import TreeNode
 from repro.classifiers.tree.flat import FlatTree
@@ -111,8 +110,10 @@ def pessimistic_prune(root: TreeNode, confidence: float = 0.25) -> TreeNode:
     ``confidence`` is J48's ``C`` parameter: smaller values make the upper
     bound more pessimistic and so prune more aggressively.
     """
+    from scipy.special import ndtri  # the standard normal quantile
+
     confidence = float(np.clip(confidence, 1e-4, 0.5))
-    z = float(stats.norm.ppf(1.0 - confidence))
+    z = float(ndtri(1.0 - confidence))
 
     def pessimistic(node: TreeNode) -> float:
         if node.is_leaf:
@@ -212,8 +213,10 @@ def cost_complexity_prune_flat(flat: FlatTree, cp: float) -> FlatTree:
 
 def pessimistic_prune_flat(flat: FlatTree, confidence: float = 0.25) -> FlatTree:
     """Flat twin of :func:`pessimistic_prune`; returns a new tree."""
+    from scipy.special import ndtri  # the standard normal quantile
+
     confidence = float(np.clip(confidence, 1e-4, 0.5))
-    z = float(stats.norm.ppf(1.0 - confidence))
+    z = float(ndtri(1.0 - confidence))
 
     node_err = _flat_node_errors(flat)
     totals = flat.counts.sum(axis=1)

@@ -28,7 +28,6 @@ from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from repro.exceptions import SearchError, is_infrastructure_fault
 from repro.hpo.objective import CrossValObjective
@@ -44,10 +43,13 @@ def expected_improvement(
     mean: np.ndarray, var: np.ndarray, best: float, xi: float = 1e-4
 ) -> np.ndarray:
     """EI for minimisation with exploration margin ``xi``."""
+    from scipy.special import ndtr  # with the pdf below: scipy.stats.norm's bits
+
     sigma = np.sqrt(np.maximum(var, 1e-12))
     improvement = best - mean - xi
     z = improvement / sigma
-    ei = improvement * stats.norm.cdf(z) + sigma * stats.norm.pdf(z)
+    pdf = np.exp(-(z**2) / 2.0) / np.sqrt(2 * np.pi)
+    ei = improvement * ndtr(z) + sigma * pdf
     return np.maximum(ei, 0.0)
 
 

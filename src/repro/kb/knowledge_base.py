@@ -17,7 +17,7 @@ keeps two incrementally maintained read caches alive across appends —
 
 * a columnar float64 meta-feature matrix inside a live
   :class:`~repro.kb.similarity.SimilarityIndex` (appends are O(d); the
-  z-normaliser refreshes lazily under a drift threshold), and
+  first query after an append re-z-scores the matrix exactly), and
 * a per-dataset leaderboard cache (``dataset_id -> {algorithm: (best
   accuracy, config)}``) updated as each run lands, so ``nominate`` fetches
   only the neighbours' boards instead of re-scanning every run record.
@@ -58,12 +58,6 @@ class KnowledgeBase:
         Store root directory (``None`` keeps the KB in memory).  A legacy
         JSON-lines log file is refused with the ``repro kb merge`` command
         that converts it.
-    drift_threshold:
-        Tolerated z-normaliser staleness of the similarity index.  ``0.0``
-        (default) renormalises on the first query after any append, keeping
-        nominations numerically identical to a cold rebuild; a small
-        positive value (e.g. ``0.05``) amortises renormalisation away on
-        append-heavy workloads at the cost of bounded distance skew.
     snapshot_every:
         Forwarded to :class:`~repro.kb.shards.ShardedRecordStore`: write a
         startup snapshot every N appended records (``None`` disables).
@@ -85,7 +79,6 @@ class KnowledgeBase:
         self,
         path: str | Path | None = None,
         *,
-        drift_threshold: float = 0.0,
         snapshot_every: int | None = _UNSET,  # type: ignore[assignment]
         store: ShardedRecordStore | None = None,
         shards: int | None = None,
@@ -107,7 +100,6 @@ class KnowledgeBase:
             store = ShardedRecordStore(path, n_shards=shards, snapshot_every=snapshot_every)
         self.store = store
         self._snapshot_every = snapshot_every
-        self.drift_threshold = float(drift_threshold)
         # Read caches, built lazily on first read and maintained
         # incrementally on every append (under the store lock, so cache
         # updates happen in append order and readers never see a half
@@ -247,7 +239,7 @@ class KnowledgeBase:
         if self._index is not None:
             return
         ids, matrix = self.dataset_vectors()
-        self._index = SimilarityIndex(ids, matrix, drift_threshold=self.drift_threshold)
+        self._index = SimilarityIndex(ids, matrix)
 
     def _board_rows(self, dataset_id: int) -> list[tuple[str, float, dict]]:
         board = self._boards.get(dataset_id, {})

@@ -47,13 +47,18 @@ class Nomination:
     warm_configs: list[dict] = field(default_factory=list)
 
 
-def zscore_normaliser(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def zscore_normaliser(
+    matrix: np.ndarray, deviations: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Column means/stds for z-scoring meta-feature vectors.
 
-    Degenerate columns get unit std so they contribute zero distance.
+    Degenerate columns get unit std so they contribute zero distance.  The
+    std is ``matrix.std(axis=0)``'s own arithmetic, from ``matrix - mean``
+    written into ``deviations`` when given (the caller's z buffer).
     """
     mean = matrix.mean(axis=0)
-    std = matrix.std(axis=0)
+    deviations = np.subtract(matrix, mean, out=deviations)
+    std = np.sqrt(np.square(deviations).sum(axis=0) / matrix.shape[0])
     std[std < 1e-12] = 1.0
     return mean, std
 
@@ -84,46 +89,28 @@ class SimilarityIndex:
 
     The raw float64 matrix lives in a capacity-doubling columnar buffer, so
     :meth:`append` is O(d) and never rebuilds state from the record store.
-    The z-scored matrix and its normaliser are refreshed lazily:
-
-    * every appended row is provisionally z-scored with the **current**
-      normaliser (O(d));
-    * at query time the index renormalises — recomputing mean/std over the
-      raw matrix and re-z-scoring every row — only when the column
-      means/stds have drifted past ``drift_threshold`` relative to the
-      normaliser in use (tracked from running column sums, O(d) per
-      append).
-
-    With ``drift_threshold=0.0`` (the default) any append triggers a
-    renormalise on the next query, so query results are *numerically
-    identical* to a cold rebuild of the index from scratch.  A positive
-    threshold trades bounded normaliser staleness for O(d) amortised
-    maintenance on append-heavy workloads.
+    The index is exact: the first query after any append recomputes the
+    normaliser over the raw matrix and re-z-scores every row into the
+    existing z buffer, so query results are *numerically identical* to a
+    cold rebuild of the index from scratch.  A query with no append since
+    the last one reuses the z buffer as it is.
     """
 
-    def __init__(
-        self,
-        stored_ids: list[int],
-        stored_vectors: np.ndarray,
-        drift_threshold: float = 0.0,
-    ):
+    def __init__(self, stored_ids: list[int], stored_vectors: np.ndarray):
         matrix = np.ascontiguousarray(stored_vectors, dtype=np.float64)
         if matrix.ndim != 2:
             raise ValueError(f"expected a 2-D matrix, got shape {matrix.shape}")
         if len(stored_ids) != matrix.shape[0]:
             raise ValueError("stored_ids and stored_vectors disagree on row count")
-        self.drift_threshold = float(drift_threshold)
-        self.n_renormalisations = 0
         self._n = matrix.shape[0]
         self._d = matrix.shape[1]
         capacity = max(self._n, 8)
-        self._raw = np.zeros((capacity, self._d), dtype=np.float64)
+        self._raw = np.empty((capacity, self._d), dtype=np.float64)
         self._raw[: self._n] = matrix
-        self._idbuf = np.zeros(capacity, dtype=np.int64)
+        self._idbuf = np.empty(capacity, dtype=np.int64)
         self._idbuf[: self._n] = np.asarray(stored_ids, dtype=np.int64)
-        self._zbuf = np.zeros((capacity, self._d), dtype=np.float64)
+        self._zbuf = np.empty((capacity, self._d), dtype=np.float64)
         self._renormalise()
-        self.n_renormalisations = 0  # the initial build is not a "re"-normalise
 
     # ------------------------------------------------------------ properties
     @property
@@ -135,22 +122,16 @@ class SimilarityIndex:
         """Stored dataset ids in insertion order."""
         return [int(i) for i in self._idbuf[: self._n]]
 
-    @property
-    def z_matrix(self) -> np.ndarray:
-        """The live z-scored matrix (rows appended since the last
-        renormalise are z-scored with the then-current normaliser)."""
-        return self._zbuf[: self._n]
-
     # --------------------------------------------------------------- updates
     def _grow(self) -> None:
         capacity = max(2 * self._raw.shape[0], 8)
-        for name in ("_raw", "_zbuf"):
-            fresh = np.zeros((capacity, self._d), dtype=np.float64)
-            fresh[: self._n] = getattr(self, name)[: self._n]
-            setattr(self, name, fresh)
-        fresh_ids = np.zeros(capacity, dtype=np.int64)
-        fresh_ids[: self._n] = self._idbuf[: self._n]
-        self._idbuf = fresh_ids
+        raw = np.empty((capacity, self._d), dtype=np.float64)
+        raw[: self._n] = self._raw[: self._n]
+        ids = np.empty(capacity, dtype=np.int64)
+        ids[: self._n] = self._idbuf[: self._n]
+        # Not copied: the next query re-z-scores every row anyway.
+        self._zbuf = np.empty((capacity, self._d), dtype=np.float64)
+        self._raw, self._idbuf = raw, ids
 
     def append(self, dataset_id: int, vector: np.ndarray) -> None:
         """Add one stored dataset to the live index in O(d)."""
@@ -161,45 +142,17 @@ class SimilarityIndex:
             self._grow()
         self._raw[self._n] = vector
         self._idbuf[self._n] = int(dataset_id)
-        self._zbuf[self._n] = (vector - self.mean) / self.std
-        self._col_sum += vector
-        self._col_sumsq += vector * vector
         self._n += 1
 
     def _renormalise(self) -> None:
-        matrix = self._raw[: self._n]
-        if self._n == 0:
-            self.mean = np.zeros(self._d)
-            self.std = np.ones(self._d)
-        else:
-            self.mean, self.std = zscore_normaliser(matrix)
-        # Fresh buffer rather than in-place rewrite: a reader holding a view
-        # from before the swap keeps seeing a consistent (if older) matrix.
-        zbuf = np.zeros_like(self._raw)
-        zbuf[: self._n] = (matrix - self.mean) / self.std
-        self._zbuf = zbuf
-        self._col_sum = matrix.sum(axis=0)
-        self._col_sumsq = np.square(matrix).sum(axis=0)
+        """Recompute the normaliser and z-score every row in place."""
         self._n_normalised = self._n
-        self.n_renormalisations += 1
-
-    def _drift(self) -> float:
-        """How far the exact column stats have moved from the normaliser in
-        use, in units of the normaliser's per-column std."""
-        mean_now = self._col_sum / self._n
-        var_now = self._col_sumsq / self._n - mean_now * mean_now
-        std_now = np.sqrt(np.maximum(var_now, 0.0))
-        std_now[std_now < 1e-12] = 1.0  # same degenerate-column floor as zscore
-        mean_shift = np.abs(mean_now - self.mean) / self.std
-        std_shift = np.abs(std_now - self.std) / self.std
-        return float(max(mean_shift.max(), std_shift.max()))
-
-    def _maybe_renormalise(self) -> None:
-        if self._n == self._n_normalised:
+        if self._n == 0:
+            self.mean, self.std = np.zeros(self._d), np.ones(self._d)
             return
-        if self.drift_threshold > 0.0 and self._drift() <= self.drift_threshold:
-            return
-        self._renormalise()
+        z = self._zbuf[: self._n]
+        self.mean, self.std = zscore_normaliser(self._raw[: self._n], deviations=z)
+        np.divide(z, self.std, out=z)
 
     # ---------------------------------------------------------------- query
     def query(self, query: np.ndarray, k: int) -> list[Neighbor]:
@@ -208,11 +161,13 @@ class SimilarityIndex:
         Similarity is ``1 / (1 + distance)``, a bounded monotone transform
         used as the weight of factor (1) in the nomination rule.
         """
-        self._maybe_renormalise()
+        if self._n != self._n_normalised:
+            self._renormalise()
         if self._n == 0 or k <= 0:
             return []
         z_query = (np.asarray(query, dtype=np.float64) - self.mean) / self.std
-        distances = np.sqrt(((self._zbuf[: self._n] - z_query) ** 2).sum(axis=1))
+        diff = self._zbuf[: self._n] - z_query
+        distances = np.sqrt(np.square(diff, out=diff).sum(axis=1))
         order = _top_k_stable(distances, k)
         return [
             Neighbor(

@@ -37,7 +37,6 @@ from collections import OrderedDict
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy import stats
 
 from repro.data.dataset import Dataset
 
@@ -105,6 +104,19 @@ class MetaFeatures:
 
 
 META_FEATURE_NAMES: tuple[str, ...] = tuple(f.name for f in fields(MetaFeatures))
+
+
+def _skew_kurtosis(col: np.ndarray) -> tuple[float, float]:
+    """Biased skewness and Fisher kurtosis of a 1-D float64 column: the
+    bits of ``scipy.stats.skew``/``kurtosis`` (same moment arithmetic, same
+    near-constant NaN guard) without their overhead or precision warning."""
+    mean = col.mean()
+    a0 = col - mean
+    sq = a0**2
+    m2 = sq.mean()
+    if m2 <= (np.finfo(np.float64).eps * mean) ** 2:
+        return np.nan, np.nan
+    return (sq * a0).mean() / m2**1.5, (sq**2).mean() / m2**2.0 - 3
 
 
 def _moment_stats(values: np.ndarray) -> tuple[float, float, float, float]:
@@ -201,11 +213,12 @@ def _extract_metafeatures_uncached(ds: Dataset) -> MetaFeatures:
         for j in numeric_idx:
             col = ds.X[:, j]
             # isfinite (not just ~isnan): an inf cell would otherwise ride
-            # into scipy's moment sums and come back as NaN plus warnings.
+            # into the moment sums and come back as NaN.
             col = col[np.isfinite(col)]
             if col.size >= 3 and np.ptp(col) > 1e-12:
-                skews.append(stats.skew(col))
-                kurts.append(stats.kurtosis(col))
+                skew, kurt = _skew_kurtosis(col)
+                skews.append(skew)
+                kurts.append(kurt)
         skew_stats = _moment_stats(np.asarray(skews, dtype=np.float64))
         kurt_stats = _moment_stats(np.asarray(kurts, dtype=np.float64))
 

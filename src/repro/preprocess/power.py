@@ -10,7 +10,6 @@ positive values"); Yeo-Johnson applies to all real values.
 from __future__ import annotations
 
 import numpy as np
-from scipy import optimize
 
 from repro.data.dataset import Dataset
 from repro.preprocess.base import Transformer
@@ -61,6 +60,8 @@ def _yeojohnson_loglik(lam: float, x: np.ndarray) -> float:
 
 
 def _optimise_lambda(loglik, x: np.ndarray) -> float:
+    from scipy import optimize
+
     result = optimize.minimize_scalar(
         lambda lam: -loglik(lam, x), bounds=_LAMBDA_BOUNDS, method="bounded"
     )

@@ -112,7 +112,8 @@ class PredictionBatcher:
         Source of servable models.
     window_s:
         How long the worker holds the first request of a batch open for
-        compatible late arrivals.  Zero still coalesces whatever is
+        a compatible late arrival, when another predict for the same model
+        is on its way to the queue.  Zero still coalesces whatever is
         already queued (no artificial latency floor).
     max_batch_rows:
         Row cap per combined pass.  Matches the distance-engine chunk
@@ -135,6 +136,9 @@ class PredictionBatcher:
         self._lock = threading.Lock()
         self._wakeup = threading.Condition(self._lock)
         self._queue: list[_Request] = []
+        # model_id -> coalescing predicts between entry and enqueue: the
+        # only partners worth holding a lone request open for.
+        self._arriving: dict[str, int] = {}
         self._stats = BatcherStats()
         self._closed = False
         self._worker = threading.Thread(
@@ -159,8 +163,17 @@ class PredictionBatcher:
         happens *here*, on the caller's thread, so a malformed request is
         rejected before it can join — and poison — a batch.
         """
-        entry = self.registry.load(model_id, version)
-        X = self._validated_rows(entry, rows)
+        if coalesce:
+            with self._lock:
+                self._count_arrival(model_id, 1)
+        try:
+            entry = self.registry.load(model_id, version)
+            X = self._validated_rows(entry, rows)
+        except BaseException:
+            if coalesce:
+                with self._lock:
+                    self._count_arrival(model_id, -1)
+            raise
         key = (entry.model_id, entry.version, bool(proba), bool(use_ensemble))
         if not coalesce:
             with self._lock:
@@ -179,6 +192,7 @@ class PredictionBatcher:
                 raise
         request = _Request(key, X)
         with self._lock:
+            self._count_arrival(model_id, -1)
             if self._closed:
                 raise RegistryError("batcher is shut down")
             self._queue.append(request)
@@ -214,6 +228,15 @@ class PredictionBatcher:
         self._worker.join(timeout)
 
     # ---------------------------------------------------------------- worker
+    def _count_arrival(self, model_id: str, step: int) -> None:
+        """Count a predict onto (+1) or off (-1) its way to the queue (under the lock)."""
+        count = self._arriving.get(model_id, 0) + step
+        if count:
+            self._arriving[model_id] = count
+        else:
+            del self._arriving[model_id]
+        self._wakeup.notify_all()
+
     def _worker_loop(self) -> None:
         while True:
             batch = self._collect_batch()
@@ -225,7 +248,9 @@ class PredictionBatcher:
         """Take the oldest request plus compatible arrivals in its window.
 
         The window is a *pairing* timeout, not a pacing delay: a lone
-        request waits up to ``window_s`` for a first partner, but once the
+        request waits up to ``window_s`` for a first partner only while
+        another predict for the same model is between :meth:`predict`
+        entry and enqueue (otherwise it executes at once), and once the
         batch has company it executes as soon as the queue holds nothing
         compatible.  Under sustained load the backlog that builds while a
         pass runs is coalesced immediately on pickup — throughput comes
@@ -256,7 +281,7 @@ class PredictionBatcher:
                     if len(batch) > 1:
                         break  # has company and the queue is drained: go
                     remaining = deadline - time.monotonic()
-                    if remaining <= 0 or self._closed:
+                    if remaining <= 0 or self._closed or head.key[0] not in self._arriving:
                         break
                     self._wakeup.wait(remaining)
                     continue

@@ -2,9 +2,14 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import main
 
 CSV = "a,b,label\n" + "\n".join(
@@ -147,3 +152,18 @@ def test_status_with_no_jobs():
         assert "no experiment jobs" in text
     finally:
         server.shutdown()
+
+
+def test_cli_import_leaves_scipy_stats_and_optimize_unloaded():
+    # Cold start: scipy.stats alone used to be most of `import repro.cli`.
+    # Both are imported lazily by the few functions that need them.
+    code = (
+        "import sys, repro.cli; "
+        "print(sorted(m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules))"
+    )
+    src = str(Path(repro.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code], check=True, capture_output=True, text=True,
+        timeout=120, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "[]"

@@ -23,12 +23,14 @@ from hypothesis import strategies as st
 from repro.classifiers import make_classifier
 from repro.core import SmartML, SmartMLConfig
 from repro.core.result import CandidateFailure, CandidateResult
+from repro.data import Dataset
 from repro.data.synthetic import SyntheticSpec, make_dataset
 from repro.exceptions import DatasetValidationError, ExperimentFailedError
 from repro.hpo.objective import CrossValObjective
 from repro.hpo.smac import SMAC, SMACSettings
 from repro.hpo.spaces import classifier_space
 from repro.kb.similarity import Nomination
+from repro.metafeatures import extract_metafeatures
 from repro.parallel.dispatch import execute_candidates, tune_candidate
 from repro.testing import HOSTILE_TRAITS, make_hostile_dataset
 
@@ -116,6 +118,33 @@ def test_any_hostile_dataset_yields_result_or_structured_error(seed, traits):
         # Degraded results still carry structured failure records.
         if result.degraded:
             assert all(f.error_type for f in result.failures)
+
+
+def test_near_constant_column_moments_are_warning_clean_and_exact():
+    """A column whose ptp clears the 1e-12 guard but whose deviations are
+    tiny next to its mean: scipy.stats warns about catastrophic
+    cancellation here, and extraction must not pass that warning on, while
+    still returning scipy's exact values."""
+    from scipy import stats
+
+    col = np.array([1e6, 1e6 + 1e-9, 1e6, 1e6 + 2e-9] * 5)
+    ds = Dataset(
+        X=np.column_stack([col, np.arange(col.size, dtype=np.float64)]),
+        y=np.arange(col.size) % 2,
+        categorical_mask=np.array([False, True]),
+        name="near-constant",
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mf = extract_metafeatures(ds, use_cache=False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the oracle itself does warn
+        skew, kurt = stats.skew(col), stats.kurtosis(col)
+    assert np.isfinite(skew) and np.isfinite(kurt)
+    for value in (mf.skewness_min, mf.skewness_max, mf.skewness_mean):
+        assert np.float64(value).tobytes() == np.float64(skew).tobytes()
+    for value in (mf.kurtosis_min, mf.kurtosis_max, mf.kurtosis_mean):
+        assert np.float64(value).tobytes() == np.float64(kurt).tobytes()
 
 
 # --------------------------------------------- quarantine in the dispatcher

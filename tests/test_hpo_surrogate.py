@@ -82,3 +82,22 @@ def test_expected_improvement_non_negative_everywhere():
     rng = np.random.default_rng(1)
     ei = expected_improvement(rng.normal(size=100), rng.uniform(0, 2, 100), best=0.0)
     assert (ei >= 0).all()
+
+
+def test_expected_improvement_matches_scipy_stats_norm_bit_for_bit():
+    # EI spells the normal cdf/pdf as ndtr and exp(-z²/2)/√(2π) to keep
+    # scipy.stats off the import path; scipy.stats.norm is the oracle.
+    from scipy import stats
+
+    rng = np.random.default_rng(7)
+    mean = np.concatenate([np.linspace(-40.0, 40.0, 100_000), rng.normal(size=1000)])
+    var = np.concatenate([np.ones(100_000), 10.0 ** rng.uniform(-14, 4, 1000)])
+    best, xi = 0.0, 1e-4
+    sigma = np.sqrt(np.maximum(var, 1e-12))
+    z = (best - mean - xi) / sigma
+    expected = np.maximum(
+        (best - mean - xi) * stats.norm.cdf(z) + sigma * stats.norm.pdf(z), 0.0
+    )
+    got = expected_improvement(mean, var, best, xi)
+    assert got.tobytes() == expected.tobytes()
+    assert z.min() < -39 and z.max() > 39  # both tails were exercised

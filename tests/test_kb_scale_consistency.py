@@ -104,51 +104,25 @@ def test_top_k_stable_matches_full_argsort_prefix_with_ties():
             assert np.array_equal(got, expected), (distances.tolist(), k)
 
 
-# ------------------------------------------------------------ drift control
+# ------------------------------------------------------------ exact index
 
 
-def test_zero_drift_threshold_renormalises_on_query_after_append():
+def test_query_renormalises_once_per_append(monkeypatch):
     rng = np.random.default_rng(1)
-    index = SimilarityIndex([1, 2], rng.normal(size=(2, 4)), drift_threshold=0.0)
-    assert index.n_renormalisations == 0
+    index = SimilarityIndex([1, 2], rng.normal(size=(2, 4)))
+    calls = []
+    real = SimilarityIndex._renormalise
+    monkeypatch.setattr(
+        SimilarityIndex, "_renormalise", lambda self: calls.append(1) or real(self)
+    )
+    index.query(rng.normal(size=4), k=2)  # clean since the build: no extra work
+    assert calls == []
     index.append(3, rng.normal(size=4))
+    index.append(4, rng.normal(size=4))
     index.query(rng.normal(size=4), k=2)
-    assert index.n_renormalisations == 1
+    assert calls == [1]
     index.query(rng.normal(size=4), k=2)  # unchanged store: no extra work
-    assert index.n_renormalisations == 1
-
-
-def test_tolerant_drift_threshold_keeps_stale_normaliser():
-    rng = np.random.default_rng(2)
-    matrix = rng.normal(size=(20, 4))
-    index = SimilarityIndex(list(range(20)), matrix, drift_threshold=100.0)
-    for i in range(10):
-        index.append(100 + i, rng.normal(size=4))
-        index.query(rng.normal(size=4), k=3)
-    assert index.n_renormalisations == 0  # all appends within tolerance
-    # Appended rows are still searchable under the stale normaliser.
-    probe = rng.normal(size=4)
-    index_ids = {n.dataset_id for n in index.query(probe, k=30)}
-    assert set(range(20)) | {100 + i for i in range(10)} == index_ids
-
-
-def test_drift_past_threshold_triggers_renormalise():
-    rng = np.random.default_rng(3)
-    index = SimilarityIndex(list(range(10)), rng.normal(size=(10, 4)), drift_threshold=0.5)
-    index.append(99, np.full(4, 1e6))  # far outside the distribution
-    index.query(rng.normal(size=4), k=2)
-    assert index.n_renormalisations == 1
-
-
-def test_kb_drift_threshold_forwarded_to_index():
-    rng = np.random.default_rng(4)
-    kb = KnowledgeBase(drift_threshold=50.0)
-    for i in range(6):
-        kb.add_dataset(f"d{i}", _random_mf(rng))
-        kb.similar_datasets(_random_mf(rng), k=2)
-    # First query builds the index; later in-tolerance appends reuse it.
-    assert kb._index.drift_threshold == 50.0
-    assert kb._index.n_renormalisations == 0
+    assert calls == [1]
 
 
 # ---------------------------------------------------------------- stale store

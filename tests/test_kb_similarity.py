@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.kb import (
     Neighbor,
+    SimilarityIndex,
     distance_only_nomination,
     nearest_datasets,
     weighted_nomination,
@@ -17,6 +20,39 @@ def test_zscore_normaliser_handles_constant_columns():
     mean, std = zscore_normaliser(matrix)
     assert std[0] == 1.0
     assert std[1] > 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=300),
+    d=st.integers(min_value=1, max_value=30),
+    built=st.floats(min_value=0.0, max_value=1.0),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_index_renormalise_matches_reference_bits(n, d, built, seed):
+    # The normaliser computes its std from the deviations it writes into
+    # the index's z buffer; the bits must be ndarray.mean/std's and the z
+    # rows (matrix - mean) / std.
+    rng = np.random.default_rng(seed)
+    matrix = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-8, 12, d)
+    matrix += 10.0 ** rng.uniform(-3, 12, d) * rng.integers(0, 2, d)
+    matrix[:, rng.integers(d)] = 1.5  # a degenerate column
+    n_built = int(built * n)
+    index = SimilarityIndex(list(range(n_built)), matrix[:n_built])
+    for i in range(n_built, n):
+        index.append(i, matrix[i])
+    query = rng.normal(size=d)
+    got = index.query(query, k=n)
+    mean, std = matrix.mean(axis=0), matrix.std(axis=0)
+    std[std < 1e-12] = 1.0
+    assert all(a.tobytes() == b.tobytes() for a, b in zip((mean, std), zscore_normaliser(matrix)))
+    z = (matrix - mean) / std
+    distances = np.sqrt(((z - (query - mean) / std) ** 2).sum(axis=1))
+    assert index.mean.tobytes() == mean.tobytes()
+    assert index.std.tobytes() == std.tobytes()
+    assert [nb.distance for nb in got] == [
+        float(distances[i]) for i in np.argsort(distances, kind="stable")
+    ]
 
 
 def test_nearest_datasets_orders_by_distance():

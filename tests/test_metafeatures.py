@@ -1,5 +1,7 @@
 """Unit + property tests for the 25 meta-features."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,8 @@ from hypothesis import strategies as st
 
 from repro.data import Dataset, SyntheticSpec, make_dataset
 from repro.metafeatures import META_FEATURE_NAMES, MetaFeatures, extract_metafeatures
+from repro.metafeatures.extractor import _skew_kurtosis
+from repro.testing import HOSTILE_TRAITS, make_hostile_dataset
 
 
 def test_exactly_25_metafeatures():
@@ -125,3 +129,39 @@ def test_property_metafeatures_always_finite(n, d, k, seed):
     mf = extract_metafeatures(ds)
     assert 0.0 <= mf.class_entropy <= 1.0 + 1e-9
     assert 0.0 <= mf.imbalance_ratio <= 1.0
+
+
+def _bits(value) -> bytes:
+    return np.float64(value).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    traits=st.lists(st.sampled_from(HOSTILE_TRAITS), unique=True, max_size=4),
+    n_rows=st.integers(min_value=3, max_value=60),
+    near_constant=st.sampled_from([0.0, 1e-9, 1e-13]),
+    length_3=st.booleans(),
+)
+def test_property_moments_equal_scipy_bit_for_bit(
+    seed, traits, n_rows, near_constant, length_3
+):
+    # scipy.stats is the oracle only: the extractor never imports it.
+    from scipy import stats
+
+    ds = make_hostile_dataset(seed, traits=traits, n_rows=n_rows)
+    for j in range(ds.n_features):
+        col = ds.X[:, j]
+        col = col[np.isfinite(col)]  # the extractor's NaN/inf filter
+        if near_constant:
+            col = 1e6 + col * near_constant
+        if length_3:
+            col = col[:3]
+        if col.size < 3:
+            continue
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("ignore")  # scipy's precision-loss warning
+            expected = stats.skew(col), stats.kurtosis(col)
+            got = _skew_kurtosis(col)
+        assert _bits(got[0]) == _bits(expected[0]), (col.tolist(), got, expected)
+        assert _bits(got[1]) == _bits(expected[1]), (col.tolist(), got, expected)

@@ -13,6 +13,7 @@ Three properties, in rising order of subtlety:
    single-row requests too).
 """
 
+import sys
 import threading
 import time
 
@@ -66,24 +67,44 @@ def served():
 
 
 def _hammer(batcher, jobs, start_jitter=0.0005):
-    """Run callables on their own threads with slightly staggered starts."""
+    """Run one-predict callables on their own threads with slightly
+    staggered starts.
+
+    The threads line up *inside* ``predict`` — in its model lookup, after
+    the batcher has counted them as on their way to the queue — so they
+    are concurrent in the batcher's sense: a lone request holds its window
+    open only for predicts that have already entered ``predict``.
+    """
     barrier = threading.Barrier(len(jobs))
     outcomes: list = [None] * len(jobs)
+    registry = batcher.registry
+    real_load = registry.load
+    lined_up = threading.local()
+
+    def load(model_id, version=None):
+        if getattr(lined_up, "index", None) is not None:
+            index, lined_up.index = lined_up.index, None
+            barrier.wait()
+            if start_jitter:
+                time.sleep((index % 4) * start_jitter)  # adversarial interleaving
+        return real_load(model_id, version)
 
     def run(i, fn):
-        barrier.wait()
-        if start_jitter:
-            time.sleep((i % 4) * start_jitter)  # adversarial interleaving
+        lined_up.index = i
         try:
             outcomes[i] = ("ok", fn())
         except Exception as exc:
             outcomes[i] = ("err", exc)
 
     threads = [threading.Thread(target=run, args=(i, fn)) for i, fn in enumerate(jobs)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    registry.load = load
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    finally:
+        del registry.load
     return outcomes
 
 
@@ -250,3 +271,94 @@ def test_shutdown_fails_pending_and_rejects_new(served):
     with pytest.raises(RegistryError, match="shut down"):
         batcher.predict("knn", fresh.X[:2])
     batcher.shutdown()  # idempotent
+
+
+def test_lone_predict_does_not_wait_out_the_window(served):
+    registry, fresh = served
+    batcher = PredictionBatcher(registry, window_s=5.0)
+    try:
+        expected = batcher.predict("knn", fresh.X[:2], coalesce=False)
+        start = time.perf_counter()
+        got = batcher.predict("knn", fresh.X[:2])
+        assert time.perf_counter() - start < 1.0  # no partner on its way
+        assert np.array_equal(got, expected)
+        assert batcher.stats().coalesced_requests == 0
+    finally:
+        batcher.shutdown()
+
+
+def test_lone_request_waits_for_a_predict_on_its_way(served, monkeypatch):
+    registry, fresh = served
+    batcher = PredictionBatcher(registry, window_s=5.0)
+    entered, release = threading.Event(), threading.Event()
+    real_load = registry.load
+
+    def held_load(model_id, version=None):
+        if threading.current_thread().name == "late":
+            entered.set()
+            release.wait(5.0)
+        return real_load(model_id, version)
+
+    monkeypatch.setattr(registry, "load", held_load)
+    outcomes = {}
+    late = threading.Thread(
+        name="late",
+        target=lambda: outcomes.setdefault("late", batcher.predict("knn", fresh.X[2:4])),
+    )
+    try:
+        late.start()
+        assert entered.wait(5.0)
+        # "late" sits between predict() entry and enqueue, so the lone head
+        # request holds the window open for it instead of running at once.
+        head = threading.Thread(
+            target=lambda: outcomes.setdefault("head", batcher.predict("knn", fresh.X[:2]))
+        )
+        head.start()
+        time.sleep(0.05)
+        release.set()
+        head.join(10.0)
+        late.join(10.0)
+        stats = batcher.stats()
+        assert stats.batches == 1 and stats.coalesced_requests == 2
+        assert np.array_equal(outcomes["head"], real_load("knn").predict_rows(fresh.X[:2]))
+    finally:
+        release.set()
+        batcher.shutdown()
+
+
+def test_arrival_counts_settle_under_contention(served):
+    # Every coalescing predict counts itself onto and off its way to the
+    # queue; a lost update would leave a stale count behind (and make
+    # every later lone request for that model wait out the window).
+    registry, fresh = served
+    batcher = PredictionBatcher(registry, window_s=0.001)
+    expected = {name: registry.load(name).predict_rows(fresh.X[:4]) for name in ("knn", "lda")}
+    failures = []
+
+    def client(i):
+        for j in range(8):
+            name = ("knn", "lda")[(i + j) % 2]
+            if j == 3:  # a request rejected at the door must still count off
+                try:
+                    batcher.predict(name, fresh.X[:4, :2])
+                    failures.append((i, j))
+                except BatchRequestError:
+                    pass
+            elif not np.array_equal(batcher.predict(name, fresh.X[:4]), expected[name]):
+                failures.append((i, j))
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    threads = [threading.Thread(target=client, args=(i,)) for i in range(8)]
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(30.0)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(switch)
+        batcher.shutdown()
+    assert failures == []
+    assert batcher._arriving == {}
+    assert batcher.stats().requests == 8 * 7

@@ -207,3 +207,19 @@ def test_property_tree_predictions_valid(seed, depth):
     assert proba.shape == (60, 3)
     assert np.allclose(proba.sum(axis=1), 1.0)
     assert tree_depth(root) <= depth
+
+
+def test_ndtri_is_scipy_stats_norm_ppf_bit_for_bit():
+    # Pessimistic pruning takes its z from scipy.special.ndtri so that
+    # scipy.stats stays off the import path; scipy.stats.norm is the oracle.
+    from scipy import stats
+    from scipy.special import ndtri
+
+    q = np.concatenate([
+        np.linspace(0.0, 1.0, 100_001),
+        np.logspace(-300, -1, 2000),
+        1.0 - np.logspace(-16, -1, 2000),
+    ])
+    got, expected = ndtri(q), stats.norm.ppf(q)
+    assert got.tobytes() == expected.tobytes()
+    assert np.isinf(got[[0, 100_000]]).all()  # the 0 and 1 tails
