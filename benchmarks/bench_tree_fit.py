@@ -1,6 +1,6 @@
 """Fit-throughput benchmark for the presorted breadth-first tree engine.
 
-Two workloads, both asserted node-for-node identical to the seed recursive
+Three workloads, all asserted node-for-node identical to the seed recursive
 builder before any number is reported:
 
 * **forest fit** — a bootstrap forest with per-node feature subsampling
@@ -16,18 +16,29 @@ builder before any number is reported:
   The engine path registers one presort per fold, exactly as
   ``CrossValObjective`` does, so every candidate and every ensemble
   member reuses it.
+* **mtry sweep** — forests at 250 x 24 and 1200 x 20 (rows scale with
+  ``--rows``; 6/5 of ``--forest-trees`` trees, 60 by default) with
+  ``max_features`` in {1, floor(sqrt(d)), cut, cut + 1, d - 1}, where the
+  cut is the largest ``max_features`` the engine grows on its rank
+  frontier.  Each point is fitted on both frontiers (the engine picks one;
+  the sweep forces each in turn) and both are asserted identical to the
+  recursive builder, so the sweep is the evidence for the cut and checks
+  identity on both sides of it.
 
 Writes ``BENCH_tree_fit.json`` at the repo root so future PRs have a perf
-trajectory to compare against.
+trajectory to compare against, stamped with the core count, BLAS and the
+thread environment.
 
 Run: ``PYTHONPATH=src python benchmarks/bench_tree_fit.py``
-(``--trees/--rows/--configs`` shrink it for CI smoke runs).
+(``--trees/--rows/--configs/--forest-trees`` shrink it for CI smoke runs).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
+import os
 import platform
 import time
 from pathlib import Path
@@ -47,10 +58,30 @@ from repro.classifiers.tree import (
     pessimistic_prune,
     pessimistic_prune_flat,
 )
+from repro.classifiers.tree import presort as presort_mod
 from repro.data import SyntheticSpec, make_dataset
 from repro.evaluation.resampling import bootstrap_indices, stratified_kfold_indices
 
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_tree_fit.json"
+
+#: BLAS/OpenMP thread variables recorded with every run.
+THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+#: (rows as a share of ``--rows``, features) of the mtry sweep's datasets:
+#: 250 x 24 and 1200 x 20 at the default ``--rows 1200``.
+SWEEP_SHAPES = ((250 / 1200, 24), (1.0, 20))
+
+
+def environment() -> dict:
+    """Core count, versions, BLAS and thread settings of this run."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return {
+        "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": f"{blas.get('name')} {blas.get('version')}",
+        "blas_threads": {key: os.environ.get(key) for key in THREAD_ENV},
+    }
 
 
 def assert_trees_identical(a: FlatTree, b: FlatTree, context: str) -> None:
@@ -107,6 +138,91 @@ def bench_forest(rows: int, features: int, classes: int, trees: int, seed: int,
         "speedup": round(seed_s / engine_s, 2),
         "trees_identical": True,
     }
+
+
+# -------------------------------------------------------------- mtry sweep
+def _sweep_mtry(features: int) -> list[int]:
+    cut = int(features * presort_mod._RANK_FRONTIER_SHARE)
+    picks = (1, math.isqrt(features), cut, cut + 1, features - 1)
+    return sorted({min(max(1, m), features - 1) for m in picks})
+
+
+def _fit_on_frontier(
+    frontier: str, presort, y, classes, params, samples, tree_seeds
+) -> tuple[float, list]:
+    """Time one forest fit forced onto ``frontier`` ("partition"/"rank")."""
+    saved = presort_mod._RANK_FRONTIER_SHARE
+    presort_mod._RANK_FRONTIER_SHARE = 1.0 if frontier == "rank" else 0.0
+    try:
+        started = time.perf_counter()
+        forest = fit_flat_forest(
+            presort, y, classes, params, samples, tree_seeds=tree_seeds
+        )
+        return time.perf_counter() - started, list(forest)
+    finally:
+        presort_mod._RANK_FRONTIER_SHARE = saved
+
+
+def bench_mtry_sweep(rows: int, classes: int, trees: int, seed: int, repeats: int):
+    cut_share = presort_mod._RANK_FRONTIER_SHARE
+    points = []
+    for row_share, features in SWEEP_SHAPES:
+        n = max(20, round(rows * row_share))
+        rng = np.random.default_rng(seed + features)
+        X = rng.normal(size=(n, features))
+        y = rng.integers(0, classes, size=n)
+        presort = PresortedMatrix(X)
+        for mtry in _sweep_mtry(features):
+            params = TreeParams(criterion="gini", max_depth=40, min_split=2,
+                                min_bucket=1, max_features=mtry)
+            draw_rng = np.random.default_rng(seed + mtry)
+            samples, tree_seeds = [], []
+            for _ in range(trees):
+                samples.append(bootstrap_indices(n, draw_rng))
+                tree_seeds.append(draw_tree_seed(draw_rng))
+
+            started = time.perf_counter()
+            reference = [
+                FlatTree.from_node(build_tree(
+                    X[sample], y[sample], classes, params, rng=_Replay(tree_seed)
+                ), classes)
+                for sample, tree_seed in zip(samples, tree_seeds)
+            ]
+            seed_s = time.perf_counter() - started
+
+            point = {
+                "rows": n, "features": features, "mtry": mtry, "trees": trees,
+                "frontier": "rank" if mtry <= cut_share * features else "partition",
+                "seed_seconds": round(seed_s, 4),
+            }
+            for frontier in ("partition", "rank"):
+                best = np.inf
+                for _ in range(max(1, repeats)):
+                    took, forest = _fit_on_frontier(
+                        frontier, presort, y, classes, params, samples, tree_seeds
+                    )
+                    best = min(best, took)
+                for i, (a, b) in enumerate(zip(reference, forest)):
+                    assert_trees_identical(
+                        a, b, f"mtry sweep {n}x{features} mtry={mtry} {frontier} tree {i}"
+                    )
+                point[f"{frontier}_seconds"] = round(best, 4)
+            point["rank_speedup"] = round(
+                point["partition_seconds"] / point["rank_seconds"], 2
+            )
+            point["trees_identical"] = True
+            points.append(point)
+    return {"cut_share": cut_share, "repeats": repeats, "points": points}
+
+
+class _Replay:
+    """The rng of one reference tree: replays its drawn tree seed."""
+
+    def __init__(self, value: int):
+        self.value = value
+
+    def integers(self, low, high):
+        return self.value
 
 
 # --------------------------------------------------------- candidate loop
@@ -217,7 +333,8 @@ def main() -> None:
     parser.add_argument("--configs", type=int, default=9, help="candidate pool size")
     parser.add_argument("--folds", type=int, default=3)
     parser.add_argument("--forest-trees", type=int, default=50,
-                        help="trees per forest candidate in the loop")
+                        help="trees per forest candidate in the loop "
+                             "(the mtry sweep grows 6/5 of this)")
     parser.add_argument("--repeats", type=int, default=2,
                         help="timing repeats per path (best kept)")
     parser.add_argument("--seed", type=int, default=0)
@@ -236,12 +353,20 @@ def main() -> None:
     )
     print(json.dumps(loop, indent=2))
 
+    sweep_trees = max(2, round(args.forest_trees * 6 / 5))
+    print(f"mtry sweep: {sweep_trees} trees per forest, both frontiers ...")
+    sweep = bench_mtry_sweep(
+        args.rows, args.classes, sweep_trees, args.seed, args.repeats
+    )
+    for point in sweep["points"]:
+        print(json.dumps(point))
+
     payload = {
         "benchmark": "tree_fit_presorted_engine",
         "forest_fit": forest,
         "candidate_loop": loop,
-        "python": platform.python_version(),
-        "numpy": np.__version__,
+        "mtry_sweep": sweep,
+        "env": environment(),
     }
     OUTPUT.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {OUTPUT}")

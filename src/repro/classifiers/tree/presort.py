@@ -32,6 +32,17 @@ under instance weights, ``max_features`` and every criterion (enforced by
   instances yields exactly the stable sort of that node's subset, so the
   engine's per-node column orders match what the reference's per-node
   ``argsort(kind="stable")`` produces, tie groups included.
+* *Rank keys*: within one tree's multiplicity instance space (below) each
+  row appears once, so the keys ``node * n + rank[c, row]`` (``rank`` the
+  inverse permutation of the root order) are unique, and sorting them
+  yields exactly the stable partition of column ``c``'s root order.  A
+  ``max_features`` forest therefore need not partition all ``d`` column
+  orders every level: :class:`_RankFrontier` keeps only the instance row
+  and sorts the keys of the candidate columns a level scans.  The
+  selection rule is a fixed input ratio: forests with ``max_features <=
+  _RANK_FRONTIER_SHARE * d`` grow on it; single trees, Bagging, wider
+  ``max_features``, the float-weight scan and the regression engine keep
+  the :class:`_PartitionFrontier`.
 * *Exact prefix sums*: with unit instance weights every prefix count is an
   exact small integer, so one **segmented** cumsum over the concatenated
   frontier (global cumsum minus each segment's starting offset) equals the
@@ -65,6 +76,7 @@ from __future__ import annotations
 
 import threading
 import weakref
+from typing import NamedTuple
 
 import numpy as np
 
@@ -98,6 +110,14 @@ __all__ = [
 #: scan).  Matches the recursive builder's budget so both engines chunk at
 #: the same scale.
 _VECTOR_CELLS = 1 << 22
+
+#: Largest ``max_features / d`` a forest fit grows on a :class:`_RankFrontier`
+#: (sorting only the scanned columns) rather than a
+#: :class:`_PartitionFrontier` (partitioning all ``d``).  The ``mtry`` sweep
+#: of ``benchmarks/bench_tree_fit.py`` (``BENCH_tree_fit.json``) puts the
+#: break-even near ``d / 2``: sorting wins 1.5-3x at ``mtry = 1`` and loses
+#: a few percent near ``d - 1``.
+_RANK_FRONTIER_SHARE = 0.5
 
 
 # --------------------------------------------------------------- presorting
@@ -139,10 +159,10 @@ class PresortedMatrix:
         Returns ``(presort, sample_sorted)``: ``sample_sorted`` is the
         sample in ascending original-row order (duplicates adjacent) and
         the presort covers ``X[sample_sorted]``.  Ensemble fits share one
-        instance space instead (:func:`_forest_instance_space`) and skip
+        instance space instead (:func:`_forest_draws`) and skip
         the matrix copies.
         """
-        order, _, sample_sorted = _expand_draws(*_forest_instance_space(self, [rows]))
+        order, _, sample_sorted = _expand_draws(self, _forest_draws(self.n_rows, [rows]))
         return PresortedMatrix(self.X[sample_sorted], order=order), sample_sorted
 
 
@@ -370,7 +390,7 @@ def _scan_buckets(sizes: np.ndarray, cell_factor: int) -> list[np.ndarray]:
     return buckets
 
 
-class _Frontier:
+class _PartitionFrontier:
     """Per-level bookkeeping shared by the class/regression engines.
 
     ``order`` is (d + 1, m_active): row ``c < d`` holds the active instance
@@ -398,6 +418,22 @@ class _Frontier:
 
     def node_of_position(self) -> np.ndarray:
         return np.repeat(np.arange(self.sizes.size, dtype=np.intp), self.sizes)
+
+    def column_order(
+        self, columns: slice | np.ndarray, pos_sel: np.ndarray, seg: np.ndarray
+    ) -> np.ndarray:
+        """(len(pos_sel), C) instance ids of the selected positions, by column.
+
+        Entry ``[p, j]`` is the instance at frontier position ``pos_sel[p]``
+        in the order of the ``j``-th column of ``columns`` (a slice: the
+        same columns for every node) or of column ``columns[p, j]`` (an
+        array: one candidate set per node, constant within a node's
+        segment).  ``seg`` numbers each selected position's node segment,
+        ascending.
+        """
+        if isinstance(columns, slice):
+            return self.order[columns].take(pos_sel, axis=1).T
+        return self.order[columns, pos_sel[:, None]]
 
     def partition(
         self,
@@ -438,6 +474,45 @@ class _Frontier:
         self.sizes = np.diff(self.starts)
 
 
+class _RankFrontier(_PartitionFrontier):
+    """Frontier that sorts only the columns a level asks for.
+
+    Keeps just the instance row of :class:`_PartitionFrontier` (partitioned
+    the same way), plus ``rank`` — the inverse permutation of the root
+    presort, ``rank[c, r]`` = position of row ``r`` in ``order[c]``.  A
+    column order is built on demand by sorting the keys ``seg * n + rank[c,
+    row]``: a multiplicity instance space holds each row once per tree, so
+    the keys are unique and their sort is exactly the stable partition of
+    the root order that :class:`_PartitionFrontier` maintains.  A
+    ``max_features`` forest scans ``mtry`` of ``d`` columns per node, so
+    sorting those beats partitioning all ``d`` when ``mtry`` is small; only
+    such fits build one, so ``column_order`` takes per-node candidate
+    arrays only.
+    """
+
+    def __init__(
+        self, root_order: np.ndarray, row_of_instance: np.ndarray, starts: np.ndarray
+    ):
+        super().__init__(np.empty((0, row_of_instance.size), dtype=np.intp), starts)
+        d, n = root_order.shape
+        rank = np.empty((d, n), dtype=np.int32)
+        np.put_along_axis(rank, root_order, np.arange(n, dtype=np.int32)[None, :], axis=1)
+        self.rank = rank
+        self.row_of_instance = row_of_instance
+
+    def column_order(
+        self, columns: np.ndarray, pos_sel: np.ndarray, seg: np.ndarray
+    ) -> np.ndarray:
+        n = self.rank.shape[1]
+        ids = self.order[-1][pos_sel]
+        keys = self.rank[columns, self.row_of_instance[ids][:, None]]  # (m, C)
+        # int32 keys sort faster; widen them only when seg * n would not fit.
+        if (int(seg[-1]) + 1) * n > np.iinfo(np.int32).max:
+            keys = keys.astype(np.int64)
+        keys += (seg * n).astype(keys.dtype)[:, None]
+        return ids[np.argsort(keys, axis=0)]
+
+
 def _padded_gather(
     starts: np.ndarray, sizes: np.ndarray, bucket: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, int]:
@@ -472,7 +547,7 @@ def _pick_splits(
 
 
 def _route_level(
-    frontier: _Frontier,
+    frontier: _PartitionFrontier,
     XT: np.ndarray,
     row_of_instance: np.ndarray | None,
     feature: np.ndarray,
@@ -497,7 +572,7 @@ def _route_level(
     tent_flag = np.zeros(sizes.size, dtype=bool)
     tent_flag[tentative] = True
     pos_mask = tent_flag[node_of_pos]
-    inst = frontier.order[-1][pos_mask]
+    inst = frontier.instance_ids()[pos_mask]
     node_rep = node_of_pos[pos_mask]
     rows = inst if row_of_instance is None else row_of_instance[inst]
     go_left = np.zeros(frontier.n_instances, dtype=bool)
@@ -530,7 +605,7 @@ def _segment_offsets(prefix: np.ndarray, starts_c: np.ndarray) -> np.ndarray:
 def _scan_classification_segmented(
     XT: np.ndarray,
     row_of_instance: np.ndarray | None,
-    frontier: _Frontier,
+    frontier: _PartitionFrontier,
     split_idx: np.ndarray,
     cand: np.ndarray | None,
     y: np.ndarray,
@@ -553,7 +628,6 @@ def _scan_classification_segmented(
     totals) are aligned with ``split_idx`` order; ``y`` is indexed by
     instance id.
     """
-    order = frontier.order
     d = XT.shape[0]
     n_split = split_idx.size
 
@@ -589,21 +663,24 @@ def _scan_classification_segmented(
         c_hi = min(n_cand, c_lo + col_cap)
         c = c_hi - c_lo
         if cand is None:
+            columns = slice(c_lo, c_hi)
             cols_rep = np.broadcast_to(np.arange(c_lo, c_hi, dtype=np.intp), (m_lvl, c))
-            inst = order[c_lo:c_hi][:, pos_sel].T
         else:
-            cols_rep = cand[node_rep, c_lo:c_hi]
-            inst = order[cols_rep, pos_sel[:, None]]
+            columns = cols_rep = cand[node_rep, c_lo:c_hi]
+        inst = frontier.column_order(columns, pos_sel, node_rep)
         rows = inst if row_of_instance is None else row_of_instance[inst]
         xs = XT[cols_rep, rows]                               # (m_lvl, C)
         ys = y[inst]
 
+        # One-hot class scatter through flat indices: cell (p, j, ys[p, j]).
         onehot = np.zeros((m_lvl, c, n_classes))
+        cells = np.arange(0, m_lvl * c * n_classes, n_classes).reshape(m_lvl, c)
+        cells += ys
         if draws is None:
-            np.put_along_axis(onehot, ys[..., None], 1.0, axis=2)
+            onehot.ravel()[cells] = 1.0
         else:
             ws = draws[inst]                                  # (m_lvl, C)
-            np.put_along_axis(onehot, ys[..., None], ws[..., None], axis=2)
+            onehot.ravel()[cells] = ws
             n_left = np.cumsum(ws, axis=0, out=ws)
             n_left -= np.repeat(_segment_offsets(n_left, starts_c), sizes, axis=0)
             n_right = node_total - n_left
@@ -651,7 +728,7 @@ def _scan_classification_segmented(
 def _scan_classification_padded(
     XT: np.ndarray,
     row_of_instance: np.ndarray | None,
-    frontier: _Frontier,
+    frontier: _PartitionFrontier,
     split_idx: np.ndarray,
     cand: np.ndarray | None,
     y: np.ndarray,
@@ -765,7 +842,7 @@ def _scan_padded_chunk(
 def _scan_regression(
     XT: np.ndarray,
     row_of_instance: np.ndarray | None,
-    frontier: _Frontier,
+    frontier: _PartitionFrontier,
     split_idx: np.ndarray,
     cand: np.ndarray | None,
     y: np.ndarray,
@@ -974,30 +1051,46 @@ def _split_trees(packed, cls) -> list:
 
 
 def _grow_classification(
-    XT: np.ndarray,
-    row_of_instance: np.ndarray | None,
-    order0: np.ndarray,
-    starts0: np.ndarray,
+    presort: PresortedMatrix,
+    space: "_InstanceSpace | None",
     y_inst: np.ndarray,
     weights_inst: np.ndarray | None,
     n_classes: int,
     params,
     tree_seeds: np.ndarray | None,
-    draws_inst: np.ndarray | None = None,
 ) -> tuple[dict[str, np.ndarray], np.ndarray, np.ndarray]:
     """Lockstep breadth-first growth over one or many trees.
 
-    ``order0``/``starts0`` describe the initial instance space: one segment
-    per tree, each segment presorted per column.  Instances carry float
-    ``weights_inst`` (padded scan; ``min_split`` counts instances), integer
-    ``draws_inst`` bootstrap multiplicities (segmented scan; ``min_split``
-    and ``min_bucket`` count draws), or neither (unit weights).
-    ``tree_seeds`` (uint64 per tree) drive the hash feature sampler when
-    ``max_features`` is active.  Returns the packed pre-order node table
-    of :meth:`_NodeLog.assemble`.
+    ``space`` is a forest group's multiplicity instance space (one segment
+    per tree; instances carry integer bootstrap draw counts, so the
+    segmented scan runs and ``min_split``/``min_bucket`` count draws), or
+    None for one tree on every row of ``presort``.  Instances carry float
+    ``weights_inst`` (padded scan; ``min_split`` counts instances) or unit
+    weights.  ``tree_seeds`` (uint64 per tree) drive the hash feature
+    sampler when ``max_features`` is active.  Returns the packed pre-order
+    node table of :meth:`_NodeLog.assemble`.
+
+    A forest whose ``max_features`` is at most ``_RANK_FRONTIER_SHARE`` of
+    ``d`` grows on a :class:`_RankFrontier` (sort the scanned columns);
+    every other fit on a :class:`_PartitionFrontier` (partition all).
     """
-    n_trees = starts0.shape[0] - 1
-    d = XT.shape[0]
+    XT = presort.XT
+    d = presort.n_cols
+    subsampling = (
+        params.max_features is not None and params.max_features < d
+    )
+    if space is None:
+        row_of_instance = draws_inst = None
+        frontier = _PartitionFrontier(
+            presort.order, np.array([0, presort.n_rows], dtype=np.intp)
+        )
+    else:
+        row_of_instance, draws_inst = space.row_of_instance, space.draws
+        if subsampling and params.max_features <= _RANK_FRONTIER_SHARE * d:
+            frontier = _RankFrontier(presort.order, row_of_instance, space.starts)
+        else:
+            frontier = _PartitionFrontier(_forest_order(presort, space), space.starts)
+    n_trees = frontier.sizes.size
     # Integer weights (unit or draw counts) take the segmented scan.
     segmented = weights_inst is None
     if draws_inst is not None:
@@ -1006,13 +1099,9 @@ def _grow_classification(
         weights = np.ones(y_inst.shape[0], dtype=np.float64)
     else:
         weights = weights_inst
-    subsampling = (
-        params.max_features is not None and params.max_features < d
-    )
     salt = _column_salt(d) if subsampling else None
     impurity = impurity_function(params.criterion)
 
-    frontier = _Frontier(order0, starts0)
     node_keys = np.ones(n_trees, dtype=np.uint64)
     node_tree = np.arange(n_trees, dtype=np.intp)
     log = _NodeLog()
@@ -1110,7 +1199,7 @@ def _grow_regression(
     subsampling = max_features is not None and max_features < d
     salt = _column_salt(d) if subsampling else None
 
-    frontier = _Frontier(order0, starts0)
+    frontier = _PartitionFrontier(order0, starts0)
     node_keys = np.ones(n_trees, dtype=np.uint64)
     node_tree = np.arange(n_trees, dtype=np.intp)
     log = _NodeLog()
@@ -1195,45 +1284,58 @@ def _sample_groups(samples: list[np.ndarray]) -> list[tuple[int, int]]:
     return groups
 
 
-def _forest_instance_space(
-    presort: PresortedMatrix, samples: list[np.ndarray]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Multiplicity instance space for lockstep classification growth.
+class _InstanceSpace(NamedTuple):
+    """Multiplicity instance space of one lockstep forest group.
 
-    Returns ``(order0, starts0, row_of_instance, draws)``: tree ``t``'s
-    block holds one instance per *distinct* row of its sample, ascending,
-    and ``draws`` is each instance's draw count (float64, exact integers).
-    Built for all trees at once: one bincount of the draws, one gather of
-    the root order through the (tree, row) -> instance map, one stable
-    filter — no per-tree pass, no duplicate expansion.
+    Tree ``t``'s block ``starts[t]:starts[t + 1]`` holds one instance per
+    *distinct* row of its sample, ascending; ``row_of_instance`` maps
+    instances to rows and ``draws`` holds each instance's draw count
+    (float64, exact integers).  ``inst_of[t, r]`` is the instance id of
+    (tree ``t``, row ``r``), -1 where the row was not drawn.
     """
-    n = presort.n_rows
+
+    inst_of: np.ndarray
+    starts: np.ndarray
+    row_of_instance: np.ndarray
+    draws: np.ndarray
+
+
+def _forest_draws(n_rows: int, samples: list[np.ndarray]) -> _InstanceSpace:
+    """Count every member's draws into one shared instance space.
+
+    Built for all trees at once: one bincount of the draws, no per-tree
+    pass, no duplicate expansion, and no column order (only a
+    :class:`_PartitionFrontier` needs one: :func:`_forest_order`).
+    """
     n_trees = len(samples)
     lengths = np.array([len(sample) for sample in samples], dtype=np.intp)
-    tree_of_draw = np.repeat(np.arange(n_trees, dtype=np.intp) * n, lengths)
+    tree_of_draw = np.repeat(np.arange(n_trees, dtype=np.intp) * n_rows, lengths)
     keys = tree_of_draw + np.concatenate(samples).astype(np.intp, copy=False)
-    draw_counts = np.bincount(keys, minlength=n_trees * n).reshape(n_trees, n)
+    draw_counts = np.bincount(keys, minlength=n_trees * n_rows).reshape(n_trees, n_rows)
     occupied = draw_counts > 0
-    n_inst = int(np.count_nonzero(occupied))
-    # Instance id of every (tree, row), -1 where the row was not drawn;
-    # int32 halves the (trees, d, n) gather below.
-    inst_of = np.cumsum(occupied, axis=None, dtype=np.int32).reshape(n_trees, n) - 1
+    # int32 halves the (trees, d, n) gather of _forest_order.
+    inst_of = np.cumsum(occupied, axis=None, dtype=np.int32).reshape(n_trees, n_rows) - 1
     inst_of[~occupied] = -1
-    # Column c of the result lists tree 0's instances in column-c order,
-    # then tree 1's, ...: the stable filter of the root order per tree.
-    gathered = np.take(inst_of, presort.order, axis=1).transpose(1, 0, 2)
-    order0 = gathered[gathered >= 0].astype(np.intp).reshape(presort.n_cols, n_inst)
-    starts0 = np.concatenate(([0], np.cumsum(occupied.sum(axis=1)))).astype(np.intp)
+    starts = np.concatenate(([0], np.cumsum(occupied.sum(axis=1)))).astype(np.intp)
     row_of_instance = np.nonzero(occupied)[1]
     draws = draw_counts[occupied].astype(np.float64)
-    return order0, starts0, row_of_instance, draws
+    return _InstanceSpace(inst_of, starts, row_of_instance, draws)
+
+
+def _forest_order(presort: PresortedMatrix, space: _InstanceSpace) -> np.ndarray:
+    """(d, n_instances) per-column orders of an instance space.
+
+    Column ``c`` lists tree 0's instances in column-``c`` order, then tree
+    1's, ...: the stable filter of the root order per tree, by one gather
+    through the (tree, row) -> instance map.
+    """
+    gathered = np.take(space.inst_of, presort.order, axis=1).transpose(1, 0, 2)
+    n_inst = space.row_of_instance.size
+    return gathered[gathered >= 0].astype(np.intp).reshape(presort.n_cols, n_inst)
 
 
 def _expand_draws(
-    order0: np.ndarray,
-    starts0: np.ndarray,
-    row_of_instance: np.ndarray,
-    draws: np.ndarray,
+    presort: PresortedMatrix, space: _InstanceSpace
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Expand a multiplicity instance space into one instance per draw.
 
@@ -1242,9 +1344,10 @@ def _expand_draws(
     adjacent, and every column order lists a row's copies side by side.
     Returns ``(order0, starts0, row_of_instance)`` of the expansion.
     """
-    reps = draws.astype(np.intp)
+    order0 = _forest_order(presort, space)
+    reps = space.draws.astype(np.intp)
     # first_copy[i]: expanded id of instance i's first copy (and, at the
-    # end, the total), so first_copy[starts0] are the expanded tree bounds.
+    # end, the total), so first_copy[starts] are the expanded tree bounds.
     first_copy = np.concatenate(([0], np.cumsum(reps)))
     flat = order0.ravel()
     flat_reps = reps[flat]
@@ -1253,8 +1356,8 @@ def _expand_draws(
     expanded = np.repeat(first_copy[flat], flat_reps) + copy_index
     return (
         expanded.reshape(order0.shape[0], -1),
-        first_copy[starts0],
-        np.repeat(row_of_instance, reps),
+        first_copy[space.starts],
+        np.repeat(space.row_of_instance, reps),
     )
 
 
@@ -1280,10 +1383,8 @@ def fit_flat_tree(
     if params.max_features is not None and params.max_features < d:
         assert rng is not None, "max_features requires an rng"
         tree_seeds = np.array([draw_tree_seed(rng)], dtype=np.uint64)
-    starts0 = np.array([0, y.shape[0]], dtype=np.intp)
     packed = _grow_classification(
-        presort.XT, None, presort.order, starts0,
-        y, weights, n_classes, params, tree_seeds,
+        presort, None, y, weights, n_classes, params, tree_seeds
     )
     return _split_trees(packed, FlatTree)[0]
 
@@ -1316,14 +1417,10 @@ def fit_flat_forest(
     )
     groups = []
     for lo, hi in _sample_groups(samples):
-        order0, starts0, row_of_instance, draws = _forest_instance_space(
-            presort, samples[lo:hi]
-        )
+        space = _forest_draws(presort.n_rows, samples[lo:hi])
         groups.append(FlatForest(*_grow_classification(
-            presort.XT, row_of_instance, order0, starts0,
-            y[row_of_instance], None, n_classes, params,
+            presort, space, y[space.row_of_instance], None, n_classes, params,
             None if seeds is None else seeds[lo:hi],
-            draws_inst=draws,
         )))
     if len(groups) == 1:
         return groups[0]
@@ -1378,7 +1475,7 @@ def fit_flat_regression_forest(
     out: list[FlatRegressionTree] = []
     for lo, hi in _sample_groups(samples):
         order0, starts0, row_of_instance = _expand_draws(
-            *_forest_instance_space(presort, samples[lo:hi])
+            presort, _forest_draws(presort.n_rows, samples[lo:hi])
         )
         packed = _grow_regression(
             presort.XT, row_of_instance, order0, starts0,

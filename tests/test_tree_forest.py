@@ -30,6 +30,7 @@ from repro.classifiers.tree import (
     fit_flat_regression_forest,
 )
 from repro.classifiers.tree import flat as flat_mod
+from repro.classifiers.tree import presort as presort_mod
 from repro.classifiers.tree.criteria import _sum_classes
 from repro.core.result import SmartMLResult
 from repro.data import SyntheticSpec, make_dataset
@@ -117,6 +118,148 @@ class _SeedReplay:
     def integers(self, low, high):
         assert low <= self.value < high
         return self.value
+
+
+# ------------------------------------- frontier choice: sort vs partition
+def _mtry_choices(d):
+    """``max_features`` on both sides of the frontier cut, and at its ends."""
+    cut = int(d * presort_mod._RANK_FRONTIER_SHARE)
+    return sorted({max(1, m) for m in (1, cut, cut + 1, d - 1)})
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    n_trees=st.integers(min_value=1, max_value=6),
+    d=st.integers(min_value=2, max_value=9),
+    mtry_pick=st.integers(min_value=0, max_value=3),
+    nodesize=st.integers(min_value=1, max_value=15),
+    tie_heavy=st.booleans(),
+    group_rows=st.sampled_from([None, 40]),
+)
+def test_property_forest_members_match_build_tree_across_frontier_cut(
+    seed, n_trees, d, mtry_pick, nodesize, tie_heavy, group_rows
+):
+    # max_features at 1, the cut, cut + 1 and d - 1 grows the forest on
+    # both frontiers; either way every member is build_tree(X[s], y[s]).
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(5, 90))
+    k = int(rng.integers(2, 5))
+    if tie_heavy:
+        X = rng.integers(0, 4, size=(n, d)).astype(np.float64)
+    else:
+        X = rng.normal(size=(n, d))
+    y = rng.integers(0, k, size=n)
+    choices = _mtry_choices(d)
+    max_features = choices[mtry_pick % len(choices)]
+    params = TreeParams(
+        criterion="gini", max_depth=40, min_split=max(2, 2 * nodesize),
+        min_bucket=nodesize, max_features=max_features,
+    )
+    subsampling = max_features < d
+    samples, seeds = [], []
+    for _ in range(n_trees):
+        samples.append(bootstrap_indices(n, rng))
+        seeds.append(draw_tree_seed(rng) if subsampling else None)
+
+    with pytest.MonkeyPatch.context() as patch:
+        if group_rows is not None:
+            # Several lockstep groups, each on its own frontier.
+            patch.setattr(presort_mod, "_LOCKSTEP_INSTANCES", group_rows)
+        forest = fit_flat_forest(
+            PresortedMatrix(X), y, k, params, samples,
+            tree_seeds=seeds if subsampling else None,
+        )
+    assert len(forest) == n_trees
+    for sample, tree_seed, member in zip(samples, seeds, forest):
+        tree_rng = _SeedReplay(tree_seed) if subsampling else None
+        reference = build_tree(X[sample], y[sample], k, params, rng=tree_rng)
+        assert_flat_equal(FlatTree.from_node(reference, k), member)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_rank_frontier_column_orders_equal_partitioned_orders(seed):
+    # Drive both frontiers through the same random splits: at every level
+    # the sorted rank keys must give exactly the partitioned column orders,
+    # for all columns and for per-node candidate sets of a node subset.
+    rng = np.random.default_rng(seed)
+    n, d = int(rng.integers(20, 120)), int(rng.integers(2, 8))
+    X = rng.integers(0, 5, size=(n, d)).astype(np.float64)  # tie-heavy
+    presort = PresortedMatrix(X)
+    samples = [bootstrap_indices(n, rng) for _ in range(int(rng.integers(1, 5)))]
+    space = presort_mod._forest_draws(n, samples)
+    partitioned = presort_mod._PartitionFrontier(
+        presort_mod._forest_order(presort, space), space.starts
+    )
+    ranked = presort_mod._RankFrontier(
+        presort.order, space.row_of_instance, space.starts
+    )
+    levels = 0
+    while partitioned.sizes.size:
+        assert np.array_equal(partitioned.starts, ranked.starts)
+        assert np.array_equal(partitioned.instance_ids(), ranked.instance_ids())
+        node_of_pos = partitioned.node_of_position()
+        assert np.array_equal(node_of_pos, ranked.node_of_position())
+        everything = np.arange(node_of_pos.size, dtype=np.intp)
+        expected = partitioned.order[:d].T
+        assert np.array_equal(
+            partitioned.column_order(slice(0, d), everything, node_of_pos), expected
+        )
+        every_column = np.broadcast_to(np.arange(d), expected.shape)
+        assert np.array_equal(
+            ranked.column_order(every_column, everything, node_of_pos), expected
+        )
+
+        # A subset of nodes, each with its own candidate columns.
+        n_front = partitioned.sizes.size
+        chosen = np.flatnonzero(rng.random(n_front) < 0.6)
+        if chosen.size:
+            flag = np.zeros(n_front, dtype=bool)
+            flag[chosen] = True
+            pos_sel = np.flatnonzero(flag[node_of_pos])
+            local = np.repeat(np.arange(chosen.size), partitioned.sizes[chosen])
+            cand = np.stack([rng.permutation(d)[:2] for _ in chosen])[local]
+            assert np.array_equal(partitioned.column_order(cand, pos_sel, local),
+                                  ranked.column_order(cand, pos_sel, local))
+
+        # Split every node of two or more instances, both children nonempty.
+        splitting = np.flatnonzero(partitioned.sizes >= 2)
+        if not splitting.size:
+            break
+        go_left = rng.random(partitioned.n_instances) < 0.5
+        ids = partitioned.instance_ids()
+        first = partitioned.starts[splitting]
+        go_left[ids[first]] = True
+        go_left[ids[first + 1]] = False
+        n_left = np.bincount(node_of_pos, weights=go_left[ids],
+                             minlength=n_front).astype(np.intp)
+        child_sizes = np.empty(2 * splitting.size, dtype=np.intp)
+        child_sizes[0::2] = n_left[splitting]
+        child_sizes[1::2] = partitioned.sizes[splitting] - n_left[splitting]
+        for frontier in (partitioned, ranked):
+            frontier.partition(splitting, go_left, child_sizes, node_of_pos)
+        levels += 1
+    assert levels >= 2
+
+
+def test_rank_keys_widen_when_segment_offsets_pass_int32():
+    # Segment numbers whose offsets seg * n straddle 2**31: int32 keys
+    # would wrap the second tree's keys below the first's.
+    rng = np.random.default_rng(3)
+    n, d = 97, 4
+    presort = PresortedMatrix(rng.normal(size=(n, d)))
+    space = presort_mod._forest_draws(n, [bootstrap_indices(n, rng) for _ in range(2)])
+    partitioned = presort_mod._PartitionFrontier(
+        presort_mod._forest_order(presort, space), space.starts
+    )
+    ranked = presort_mod._RankFrontier(presort.order, space.row_of_instance, space.starts)
+    node_of_pos = partitioned.node_of_position()
+    seg = node_of_pos + (np.iinfo(np.int32).max // n)
+    assert (seg[-1] + 1) * n > np.iinfo(np.int32).max
+    everything = np.arange(node_of_pos.size, dtype=np.intp)
+    cand = np.broadcast_to(np.array([2, 0]), (everything.size, 2))
+    assert np.array_equal(ranked.column_order(cand, everything, seg),
+                          partitioned.column_order(cand, everything, seg))
 
 
 @settings(max_examples=25, deadline=None)
@@ -270,8 +413,6 @@ def test_from_trees_round_trips_members():
 def test_multi_group_forest_matches_sequential(monkeypatch):
     # Shrink the lockstep group so the forest is grown in several groups
     # whose node tables are concatenated.
-    import repro.classifiers.tree.presort as presort_mod
-
     rng = np.random.default_rng(6)
     X = rng.normal(size=(50, 3))
     y = rng.integers(0, 2, size=50)
