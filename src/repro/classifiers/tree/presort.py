@@ -113,10 +113,11 @@ _VECTOR_CELLS = 1 << 22
 
 #: Largest ``max_features / d`` a forest fit grows on a :class:`_RankFrontier`
 #: (sorting only the scanned columns) rather than a
-#: :class:`_PartitionFrontier` (partitioning all ``d``).  The ``mtry`` sweep
-#: of ``benchmarks/bench_tree_fit.py`` (``BENCH_tree_fit.json``) puts the
-#: break-even near ``d / 2``: sorting wins 1.5-3x at ``mtry = 1`` and loses
-#: a few percent near ``d - 1``.
+#: :class:`_PartitionFrontier` (partitioning all ``d``).  From the ``mtry``
+#: sweep of ``benchmarks/bench_tree_fit.py`` (``BENCH_tree_fit.json``, 60
+#: trees at 250 x 24 and 1200 x 20): sorting is 2.0-2.4x faster at ``mtry =
+#: 1`` and 1.15-1.2x at ``d / 2``, but only 0.99-1.1x above it, where its
+#: O(m log m) sort per scanned column nears the O(d m) partition.
 _RANK_FRONTIER_SHARE = 0.5
 
 
