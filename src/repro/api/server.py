@@ -385,6 +385,9 @@ class SmartMLServer:
 
             def _read_json(self) -> dict:
                 length = int(self.headers.get("Content-Length", "0"))
+                if length < 0:
+                    # rfile.read(-1) would block until the client closes.
+                    raise SmartMLError(f"invalid Content-Length: {length}")
                 raw = self.rfile.read(length) if length else b"{}"
                 try:
                     payload = json.loads(raw)

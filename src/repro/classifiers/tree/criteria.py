@@ -15,13 +15,13 @@ __all__ = [
     "gini",
     "entropy",
     "children_impurity",
-    "children_impurity_sized",
+    "children_impurity_class_major",
     "gain_ratio",
     "impurity_function",
 ]
 
 
-#: Widest trailing axis :func:`_sum_classes` adds with explicit slices.
+#: Widest class axis :func:`_sum_classes` adds with explicit slices.
 #: numpy reduces fewer than 8 elements strictly left to right, so below
 #: this width slice adds give the reduction's bits without its per-row
 #: dispatch; from 8 on it sums pairwise and the reduction is kept.
@@ -29,54 +29,55 @@ _SLICE_SUM_MAX = 7
 
 
 def _sum_classes(p: np.ndarray) -> np.ndarray:
-    """``p.sum(axis=-1)``, bit for bit, fast for a tiny class axis."""
-    k = p.shape[-1]
+    """Class sums of a class-major ``(k, ...)`` array.
+
+    Bit for bit the reduction ``.sum(axis=-1)`` of the same values held
+    C-contiguous with the classes trailing: slice adds up to
+    ``_SLICE_SUM_MAX`` classes, that reduction itself above.
+    """
+    k = p.shape[0]
     if k > _SLICE_SUM_MAX or k < 2:
-        return p.sum(axis=-1)
-    total = p[..., 0] + p[..., 1]
+        return np.ascontiguousarray(np.moveaxis(p, 0, -1)).sum(axis=-1)
+    total = p[0] + p[1]
     for i in range(2, k):
-        total += p[..., i]
+        total += p[i]
     return total
 
 
-def gini(
-    counts: np.ndarray,
-    totals: np.ndarray | None = None,
-    consume: bool = False,
-) -> np.ndarray:
-    """Gini impurity of each row of a count matrix; 0 for empty rows.
+def _gini_of(p: np.ndarray) -> np.ndarray:
+    """Gini impurity from class-major probabilities (``p`` is consumed)."""
+    np.multiply(p, p, out=p)
+    return 1.0 - _sum_classes(p)
 
-    ``totals`` (broadcastable, trailing axis kept) may be supplied when the
-    caller already knows the row sums — e.g. the presorted split scan,
-    where unit-weight totals are just positions — saving a reduction with
-    bit-identical results.  ``consume=True`` additionally lets the
-    computation reuse ``counts`` as scratch (the caller promises the array
-    is dead); values are identical either way.
+
+def _entropy_of(p: np.ndarray) -> np.ndarray:
+    """Entropy (bits) from class-major probabilities; empty classes add 0."""
+    plogp = np.zeros_like(p)
+    np.log2(p, out=plogp, where=p > 0)
+    np.multiply(p, plogp, out=plogp)
+    return -_sum_classes(plogp)
+
+
+def _class_major(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Class-major probabilities of trailing-axis ``counts`` and row totals.
+
+    Empty rows divide by 1, so their probabilities are 0.
     """
     counts = np.asarray(counts, dtype=np.float64)
-    if totals is None:
-        totals = counts.sum(axis=-1, keepdims=True)
+    totals = counts.sum(axis=-1)
     safe = np.where(totals > 0, totals, 1.0)
-    p = np.divide(counts, safe, out=counts) if consume else counts / safe
-    np.multiply(p, p, out=p)  # p**2, without a second full-size temporary
-    impurity = 1.0 - _sum_classes(p)
-    return np.where(totals[..., 0] > 0, impurity, 0.0)
+    return np.moveaxis(counts, -1, 0) / safe, totals
 
 
-def entropy(
-    counts: np.ndarray,
-    totals: np.ndarray | None = None,
-    consume: bool = False,
-) -> np.ndarray:
+def gini(counts: np.ndarray) -> np.ndarray:
+    """Gini impurity of each row of a count matrix; 0 for empty rows."""
+    p, totals = _class_major(counts)
+    return np.where(totals > 0, _gini_of(p), 0.0)
+
+
+def entropy(counts: np.ndarray) -> np.ndarray:
     """Shannon entropy (bits) of each row of a count matrix; 0 for empty rows."""
-    counts = np.asarray(counts, dtype=np.float64)
-    if totals is None:
-        totals = counts.sum(axis=-1, keepdims=True)
-    safe = np.where(totals > 0, totals, 1.0)
-    p = np.divide(counts, safe, out=counts) if consume else counts / safe
-    logp = np.zeros_like(p)
-    np.log2(p, out=logp, where=p > 0)
-    return -(p * logp).sum(axis=-1)
+    return _entropy_of(_class_major(counts)[0])
 
 
 def impurity_function(criterion: str):
@@ -154,44 +155,42 @@ def _negative_gain_ratio(
     return -ratio
 
 
-def children_impurity_sized(
+def children_impurity_class_major(
     left_counts: np.ndarray,
-    right_counts: np.ndarray,
+    class_totals: np.ndarray,
     n_left: np.ndarray,
     n_right: np.ndarray,
+    node_totals: np.ndarray,
     criterion: str,
-    parent_impurity: float | np.ndarray | None = None,
-    consume: bool = False,
+    parent_impurity: np.ndarray,
 ) -> np.ndarray:
-    """:func:`children_impurity` with caller-supplied child sizes.
+    """:func:`children_impurity` of a class-major integer-count scan.
 
-    The presorted unit-weight scan knows every candidate split's child
-    sizes for free (they are sorted positions), so it skips the four
-    count-matrix reductions the generic path performs.  Arithmetic is
-    otherwise identical — supplied sizes must equal the count-row sums
-    exactly (true for unit weights, where both are exact small integers),
-    making the scores bit-for-bit the generic path's.  ``consume=True``
-    lets the impurity computation use the count matrices as scratch.
+    ``left_counts`` is ``(k, ...)``: rows ``0 .. k - 2`` hold each
+    candidate split's left class counts; row ``k - 1`` is scratch, filled
+    here with ``n_left`` minus the others (exact: every count is a small
+    integer).  Right counts are ``class_totals - left_counts``; sizes,
+    ``node_totals`` and ``parent_impurity`` broadcast against one class
+    row.  The counts are used as scratch.  Wherever ``n_left, n_right >=
+    1`` the scores equal :func:`children_impurity` on the same counts bit
+    for bit; elsewhere they are unguarded (nan) and must be masked.
     """
-    impurity = impurity_function(criterion)
-    total = n_left + n_right
-    safe_total = np.where(total > 0, total, 1.0)
-    parent = None
-    if criterion == "gain_ratio" and parent_impurity is None:
-        # Before the impurity calls: consume=True may reuse the counts.
-        parent = impurity(left_counts + right_counts)
-    weighted = (
-        n_left * impurity(left_counts, n_left[..., None], consume)
-        + n_right * impurity(right_counts, n_right[..., None], consume)
-    ) / safe_total
-    if criterion != "gain_ratio":
-        return weighted
-
-    if parent is None:
-        parent = np.broadcast_to(
-            np.asarray(parent_impurity, dtype=np.float64), weighted.shape
+    k = left_counts.shape[0]
+    last = np.subtract(n_left, left_counts[0], out=left_counts[k - 1])
+    for i in range(1, k - 1):
+        last -= left_counts[i]
+    right_counts = class_totals - left_counts
+    impurity = _gini_of if criterion == "gini" else _entropy_of
+    with np.errstate(divide="ignore", invalid="ignore"):
+        weighted = (
+            n_left * impurity(np.divide(left_counts, n_left, out=left_counts))
+            + n_right * impurity(np.divide(right_counts, n_right, out=right_counts))
+        ) / node_totals
+        if criterion != "gain_ratio":
+            return weighted
+        return _negative_gain_ratio(
+            weighted, parent_impurity, n_left, n_right, node_totals
         )
-    return _negative_gain_ratio(weighted, parent, n_left, n_right, safe_total)
 
 
 def gain_ratio(left_counts: np.ndarray, right_counts: np.ndarray) -> np.ndarray:

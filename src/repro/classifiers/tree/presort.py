@@ -35,7 +35,9 @@ under instance weights, ``max_features`` and every criterion (enforced by
 * *Rank keys*: within one tree's multiplicity instance space (below) each
   row appears once, so the keys ``node * n + rank[c, row]`` (``rank`` the
   inverse permutation of the root order) are unique, and sorting them
-  yields exactly the stable partition of column ``c``'s root order.  A
+  yields exactly the stable partition of column ``c``'s root order.  The
+  sort runs on the keys with the instance id packed into their low bits
+  (an argsort only past 63 packed bits), so the ids come out masked.  A
   ``max_features`` forest therefore need not partition all ``d`` column
   orders every level: :class:`_RankFrontier` keeps only the instance row
   and sorts the keys of the candidate columns a level scans.  The
@@ -43,10 +45,16 @@ under instance weights, ``max_features`` and every criterion (enforced by
   _RANK_FRONTIER_SHARE * d`` grow on it; single trees, Bagging, wider
   ``max_features``, the float-weight scan and the regression engine keep
   the :class:`_PartitionFrontier`.
-* *Exact prefix sums*: with unit instance weights every prefix count is an
-  exact small integer, so one **segmented** cumsum over the concatenated
-  frontier (global cumsum minus each segment's starting offset) equals the
-  reference's per-node cumsums bit-for-bit.  Float-weighted fits instead
+* *Exact prefix sums*: with unit instance weights (or integer draw counts)
+  every prefix count is an exact small integer, so one **segmented**
+  cumsum over the concatenated frontier equals the reference's per-node
+  cumsums bit-for-bit: each node's first position carries minus the
+  previous node's class and draw totals, so the global cumsum restarts at
+  every node.  Counts are class-major ``(k, m, C)`` and only ``k - 1``
+  classes are cumsummed; the last is ``n_left`` minus the others, exact
+  for the same reason.  Scores divide without zero guards: every weight
+  is >= 1, so ``n_left >= 1`` everywhere and ``n_right >= 1`` but at a
+  segment end, which is never a valid split.  Float-weighted fits instead
   take a **padded** scan — nodes bucketed by size into rectangular
   workspaces whose per-node cumsum sequences are literally the per-node
   passes (padding rows carry zero weight and sit after every real row).
@@ -82,7 +90,7 @@ import numpy as np
 
 from repro.classifiers.tree.criteria import (
     children_impurity,
-    children_impurity_sized,
+    children_impurity_class_major,
     impurity_function,
 )
 from repro.classifiers.tree.flat import (
@@ -506,12 +514,18 @@ class _RankFrontier(_PartitionFrontier):
     ) -> np.ndarray:
         n = self.rank.shape[1]
         ids = self.order[-1][pos_sel]
-        keys = self.rank[columns, self.row_of_instance[ids][:, None]]  # (m, C)
-        # int32 keys sort faster; widen them only when seg * n would not fit.
-        if (int(seg[-1]) + 1) * n > np.iinfo(np.int32).max:
-            keys = keys.astype(np.int64)
-        keys += (seg * n).astype(keys.dtype)[:, None]
-        return ids[np.argsort(keys, axis=0)]
+        rank = self.rank[columns, self.row_of_instance[ids][:, None]]  # (m, C)
+        keys = (seg * n)[:, None] + rank                      # int64
+        # Sort with the ids packed into the low bits, then mask them out;
+        # keys too wide to pack take ``ids[argsort(keys)]``, the same order.
+        bits = (self.n_instances - 1).bit_length()
+        if ((int(seg[-1]) + 1) * n) << bits > 1 << 63:
+            return ids[np.argsort(keys, axis=0)]
+        keys <<= bits
+        keys |= ids[:, None]
+        keys.sort(axis=0)
+        keys &= (1 << bits) - 1
+        return keys
 
 
 def _padded_gather(
@@ -596,13 +610,6 @@ def _route_level(
 
 
 # ----------------------------------------------------------- split scanning
-def _segment_offsets(prefix: np.ndarray, starts_c: np.ndarray) -> np.ndarray:
-    """Per-segment starting value of a global prefix sum (row 0 = zeros)."""
-    offset = np.zeros((starts_c.size - 1,) + prefix.shape[1:])
-    offset[1:] = prefix[starts_c[1:-1] - 1]
-    return offset
-
-
 def _scan_classification_segmented(
     XT: np.ndarray,
     row_of_instance: np.ndarray | None,
@@ -611,26 +618,22 @@ def _scan_classification_segmented(
     cand: np.ndarray | None,
     y: np.ndarray,
     draws: np.ndarray | None,
-    node_draws: np.ndarray,
-    n_classes: int,
+    node_counts: np.ndarray,
     params,
     parent_impurity: np.ndarray,
     node_of_pos: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Integer-weight split scan: one segmented pass over the whole level.
 
-    With unit weights, or integer draw counts (``draws``, indexed by
-    instance id), every prefix count is an exact small integer, so a
-    *global* cumsum over the concatenated node segments minus each
-    segment's starting offset reproduces the per-node cumsums bit-for-bit
-    — no padding, no per-bucket chunking, one numpy pass per level
-    regardless of how many frontier nodes (or lockstep trees) there are.
-    ``cand``, ``parent_impurity`` and ``node_draws`` (per-node weight
-    totals) are aligned with ``split_idx`` order; ``y`` is indexed by
-    instance id.
+    Unit weights or integer draw counts (``draws``, indexed by instance
+    id): see "Exact prefix sums" in the module docstring.  No padding, no
+    per-bucket chunking, one numpy pass per level however many frontier
+    nodes (or lockstep trees) there are.  ``cand``, ``parent_impurity``
+    and ``node_counts`` (class totals) are aligned with ``split_idx``
+    order; ``y`` is indexed by instance id.
     """
     d = XT.shape[0]
-    n_split = split_idx.size
+    n_split, n_classes = node_counts.shape
 
     sizes = frontier.sizes[split_idx]
     starts_c = np.concatenate(([0], np.cumsum(sizes)))        # segment bounds
@@ -649,17 +652,20 @@ def _scan_classification_segmented(
     n_cand = d if cand is None else cand.shape[1]
     col_cap = max(1, _VECTOR_CELLS // max(1, m_lvl * n_classes))
     positions = np.arange(m_lvl, dtype=np.intp)[:, None]
-    # Candidate child sizes are the same exact integers as ``left.sum(-1)``
-    # / ``right.sum(-1)``, at (columns x classes) less arithmetic per
-    # level.  Unit weights make them pure positions (n_left at in-segment
-    # position p is p + 1, for every column); draw counts make them a
-    # segmented cumsum of the draws in each candidate column's order.
-    node_total = np.repeat(node_draws, sizes)[:, None]
-    if draws is None:
-        local_pos = np.arange(m_lvl) - np.repeat(starts_c[:-1], sizes)
-        n_left = (local_pos + 1).astype(np.float64)[:, None]
-        n_right = node_total - n_left
-        size_valid = (n_left >= params.min_bucket) & (n_right >= params.min_bucket)
+    node_draws = node_counts.sum(axis=1)
+    node_total = node_draws[node_rep][:, None]                # (m_lvl, 1)
+    class_total = node_counts.T.take(node_rep, axis=1)[:, :, None]  # (k, m_lvl, 1)
+    # Cumsummed slabs: the draws, if any (their prefix is n_left), then
+    # classes 0 .. k - 2; class k - 1's slab is scratch the scorer fills.
+    # Each node's first position carries minus the previous node's totals.
+    lead = 0 if draws is None else 1
+    n_cum = n_classes - 1 + lead
+    carry = node_counts[:-1, : n_classes - 1].T[:, :, None]
+    if draws is not None:
+        carry = np.concatenate([node_draws[None, :-1, None], carry])
+    firsts = starts_c[1:-1]
+    # Unit weights make n_left a position: p + 1 at in-segment position p.
+    unit_left = (positions[:, 0] + 1 - starts_c[node_rep]).astype(np.float64)[:, None]
     for c_lo in range(0, n_cand, col_cap):
         c_hi = min(n_cand, c_lo + col_cap)
         c = c_hi - c_lo
@@ -671,37 +677,28 @@ def _scan_classification_segmented(
         inst = frontier.column_order(columns, pos_sel, node_rep)
         rows = inst if row_of_instance is None else row_of_instance[inst]
         xs = XT[cols_rep, rows]                               # (m_lvl, C)
-        ys = y[inst]
 
-        # One-hot class scatter through flat indices: cell (p, j, ys[p, j]).
-        onehot = np.zeros((m_lvl, c, n_classes))
-        cells = np.arange(0, m_lvl * c * n_classes, n_classes).reshape(m_lvl, c)
-        cells += ys
-        if draws is None:
-            onehot.ravel()[cells] = 1.0
-        else:
-            ws = draws[inst]                                  # (m_lvl, C)
-            onehot.ravel()[cells] = ws
-            n_left = np.cumsum(ws, axis=0, out=ws)
-            n_left -= np.repeat(_segment_offsets(n_left, starts_c), sizes, axis=0)
-            n_right = node_total - n_left
-            size_valid = (n_left >= params.min_bucket) & (n_right >= params.min_bucket)
-        gprefix = np.cumsum(onehot, axis=0, out=onehot)
-        offset = _segment_offsets(gprefix, starts_c)
-        totals = gprefix[seg_ends] - offset                   # (F, C, k)
-        gprefix -= np.repeat(offset, sizes, axis=0)
-        left = gprefix
-        right = np.repeat(totals, sizes, axis=0)
-        right -= left
+        ys = y[inst]
+        counts = np.empty((n_classes + lead, m_lvl, c))
+        for i in range(n_classes - 1):
+            np.equal(ys, i, out=counts[lead + i])
+        if draws is not None:
+            counts[0] = draws[inst]
+            counts[1:n_cum] *= counts[0]
+        counts[:n_cum, firsts] -= carry
+        np.cumsum(counts[:n_cum], axis=1, out=counts[:n_cum])
+        n_left = unit_left if draws is None else counts[0]
+        n_right = node_total - n_left
 
         boundary = np.zeros((m_lvl, c), dtype=bool)
         if m_lvl > 1:
             boundary[:-1] = np.diff(xs, axis=0) > 1e-12
         boundary[seg_ends] = False                            # no cross-segment splits
-        valid = boundary & size_valid
-        scores = children_impurity_sized(
-            left, right, n_left, n_right, params.criterion, parent_rep,
-            consume=True,  # left/right are this pass's scratch buffers
+        valid = boundary & (n_left >= params.min_bucket) & (n_right >= params.min_bucket)
+        # Unguarded scores, exact wherever ``valid`` holds (weights >= 1).
+        scores = children_impurity_class_major(
+            counts[lead:], class_total, n_left, n_right, node_total,
+            params.criterion, parent_rep,
         )
         scores = np.where(valid, scores, np.inf)
 
@@ -1145,8 +1142,8 @@ def _grow_classification(
             if segmented:
                 score, feat, thr = _scan_classification_segmented(
                     XT, row_of_instance, frontier, split_idx, cand,
-                    y_inst, draws_inst, n_node[split_idx].astype(np.float64),
-                    n_classes, params, parent_impurity[split_idx], node_of_pos,
+                    y_inst, draws_inst, counts[split_idx],
+                    params, parent_impurity[split_idx], node_of_pos,
                 )
             else:
                 score, feat, thr = _scan_classification_padded(

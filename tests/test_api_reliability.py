@@ -116,6 +116,22 @@ def test_healthz_alias_and_timeout_passthrough():
         server.shutdown()
 
 
+@pytest.mark.parametrize("length", ["-1", "abc"])
+def test_bad_content_length_gets_400_without_waiting_for_body(length):
+    server = SmartMLServer(SmartML())
+    server.serve_background()
+    try:
+        with socket.create_connection(("127.0.0.1", server.port), timeout=3.0) as conn:
+            conn.sendall(
+                b"POST /nominate HTTP/1.1\r\nHost: localhost\r\n"
+                b"Content-Length: " + length.encode() + b"\r\n\r\n"
+            )
+            status_line = conn.makefile("rb").readline()
+        assert status_line.split()[1] == b"400"
+    finally:
+        server.shutdown()
+
+
 def test_client_get_retries_until_server_appears():
     with socket.socket() as probe:
         probe.bind(("127.0.0.1", 0))

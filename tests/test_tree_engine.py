@@ -21,6 +21,7 @@ from repro.classifiers.tree import (
     tree_depth,
     tree_predict_proba,
 )
+from repro.classifiers.tree.criteria import children_impurity_class_major
 
 
 # ----------------------------------------------------------------- criteria
@@ -52,6 +53,54 @@ def test_children_impurity_prefers_clean_split():
         good = children_impurity(clean_left, clean_right, criterion)[0]
         bad = children_impurity(messy_left, messy_right, criterion)[0]
         assert good < bad
+
+
+def _segmented_prefix_counts(rng, k, draws, n_columns=3):
+    """Per-node prefix class counts of a few nodes, as a level scan sees them.
+
+    Returns trailing-axis ``left`` (m, C, k) and node ``totals`` (m, k) per
+    position, with ``n_left`` (m, 1) positions for unit weights or (m, C)
+    cumsummed draw counts.
+    """
+    lefts, totals, n_lefts = [], [], []
+    for size in rng.integers(2, 40, size=4):
+        y = rng.integers(0, k, size=size)
+        w = rng.integers(1, 6, size=size).astype(float) if draws else np.ones(size)
+        order = np.argsort(rng.random((size, n_columns)), axis=0)   # column orders
+        onehot = np.zeros((size, n_columns, k))
+        onehot[np.arange(size)[:, None], np.arange(n_columns), y[order]] = w[order]
+        lefts.append(np.cumsum(onehot, axis=0))
+        totals.append(np.repeat(np.bincount(y, weights=w, minlength=k)[None], size, axis=0))
+        n_lefts.append(np.cumsum(w[order], axis=0) if draws else np.arange(1.0, size + 1)[:, None])
+    return np.concatenate(lefts), np.concatenate(totals), np.concatenate(n_lefts)
+
+
+@pytest.mark.parametrize("draws", [False, True])
+@pytest.mark.parametrize("k", range(2, 11))
+@pytest.mark.parametrize("criterion", ["gini", "entropy", "gain_ratio"])
+def test_class_major_scorer_matches_children_impurity_bitwise(criterion, k, draws):
+    rng = np.random.default_rng(100 * k + draws)
+    left, totals, n_left = _segmented_prefix_counts(rng, k, draws)
+    m, n_columns = left.shape[:2]
+    node_total = totals.sum(axis=1)[:, None]
+    n_right = node_total - n_left
+    parent = (gini if criterion == "gini" else entropy)(totals)[:, None]
+    right = totals[:, None, :] - left
+    expected = children_impurity(
+        left.reshape(-1, k), right.reshape(-1, k), criterion,
+        np.broadcast_to(parent, (m, n_columns)).reshape(-1),
+    ).reshape(m, n_columns)
+
+    class_major = np.ascontiguousarray(np.moveaxis(left, -1, 0))
+    class_major[k - 1] = np.nan  # scratch row: the scorer derives the last class
+    got = children_impurity_class_major(
+        class_major, totals.T[:, :, None], n_left, n_right, node_total,
+        criterion, parent,
+    )
+    # Every position with both children non-empty: all but the segment ends.
+    scored = np.broadcast_to((n_left >= 1) & (n_right >= 1), (m, n_columns))
+    assert scored.sum() == m * n_columns - 4 * n_columns
+    assert np.array_equal(got[scored].view(np.uint64), expected[scored].view(np.uint64))
 
 
 def test_gain_ratio_penalises_unbalanced_splits():

@@ -49,7 +49,7 @@ def _data(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(5, 120))
     d = int(rng.integers(1, 7))
-    k = int(rng.integers(2, 5))
+    k = int(rng.integers(2, 11))  # k = 2 cumsums one class; k > 7 sums pairwise
     X = rng.normal(size=(n, d))
     X[:, 0] = np.round(X[:, 0], 1)  # ties inside and across draw runs
     y = rng.integers(0, k, size=n)
@@ -144,7 +144,7 @@ def test_property_forest_members_match_build_tree_across_frontier_cut(
     # both frontiers; either way every member is build_tree(X[s], y[s]).
     rng = np.random.default_rng(seed)
     n = int(rng.integers(5, 90))
-    k = int(rng.integers(2, 5))
+    k = int(rng.integers(2, 11))  # k = 2 cumsums one class; k > 7 sums pairwise
     if tie_heavy:
         X = rng.integers(0, 4, size=(n, d)).astype(np.float64)
     else:
@@ -242,9 +242,11 @@ def test_rank_frontier_column_orders_equal_partitioned_orders(seed):
     assert levels >= 2
 
 
-def test_rank_keys_widen_when_segment_offsets_pass_int32():
-    # Segment numbers whose offsets seg * n straddle 2**31: int32 keys
-    # would wrap the second tree's keys below the first's.
+def test_rank_keys_fall_back_to_argsort_past_63_packed_bits():
+    # The rank frontier sorts keys with the instance ids packed into their
+    # low bits.  Segment offsets past int32 still pack; past 63 packed bits
+    # it argsorts the int64 keys instead.  Both must give the partition
+    # frontier's orders.
     rng = np.random.default_rng(3)
     n, d = 97, 4
     presort = PresortedMatrix(rng.normal(size=(n, d)))
@@ -254,12 +256,15 @@ def test_rank_keys_widen_when_segment_offsets_pass_int32():
     )
     ranked = presort_mod._RankFrontier(presort.order, space.row_of_instance, space.starts)
     node_of_pos = partitioned.node_of_position()
-    seg = node_of_pos + (np.iinfo(np.int32).max // n)
-    assert (seg[-1] + 1) * n > np.iinfo(np.int32).max
     everything = np.arange(node_of_pos.size, dtype=np.intp)
     cand = np.broadcast_to(np.array([2, 0]), (everything.size, 2))
-    assert np.array_equal(ranked.column_order(cand, everything, seg),
-                          partitioned.column_order(cand, everything, seg))
+    bits = (ranked.n_instances - 1).bit_length()
+    for offset, packs in [(np.iinfo(np.int32).max // n, True), ((1 << (63 - bits)) // n, False)]:
+        seg = node_of_pos + offset
+        assert (seg[-1] + 1) * n > np.iinfo(np.int32).max
+        assert (((int(seg[-1]) + 1) * n) << bits <= 1 << 63) == packs
+        assert np.array_equal(ranked.column_order(cand, everything, seg),
+                              partitioned.column_order(cand, everything, seg))
 
 
 @settings(max_examples=25, deadline=None)
@@ -491,10 +496,14 @@ def test_legacy_forest_snapshot_loads_from_registry(klass, kwargs, tmp_path):
 # ------------------------------------------------------------------- gini
 @pytest.mark.parametrize("k", range(1, 11))
 def test_sum_classes_matches_reduction_bitwise(k):
+    # _sum_classes takes the classes leading; its bits must be those of
+    # the trailing-axis reduction of a C-contiguous array, whatever the
+    # class-major input's memory layout.
     rng = np.random.default_rng(k)
     for shape in [(1,), (257,), (40, 9)]:
         p = rng.random(shape + (k,)) ** 3 * 10.0 ** rng.uniform(-6, 6, size=shape + (k,))
+        expected = p.sum(axis=-1).view(np.uint64)
+        class_major = np.ascontiguousarray(np.moveaxis(p, -1, 0))
         for arr in (p, np.asfortranarray(p)):
-            assert np.array_equal(
-                _sum_classes(arr).view(np.uint64), arr.sum(axis=-1).view(np.uint64)
-            )
+            assert np.array_equal(_sum_classes(np.moveaxis(arr, -1, 0)).view(np.uint64), expected)
+        assert np.array_equal(_sum_classes(class_major).view(np.uint64), expected)

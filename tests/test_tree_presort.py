@@ -44,7 +44,7 @@ def _data(seed, with_ties=True):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(5, 160))
     d = int(rng.integers(1, 7))
-    k = int(rng.integers(2, 5))
+    k = int(rng.integers(2, 11))  # k = 2 cumsums one class; k > 7 sums pairwise
     X = rng.normal(size=(n, d))
     if with_ties:
         X[:, 0] = np.round(X[:, 0], 1)  # duplicated values exercise ties
