@@ -18,12 +18,11 @@ builder before any number is reported:
   member reuses it.
 * **mtry sweep** — forests at 250 x 24 and 1200 x 20 (rows scale with
   ``--rows``; 6/5 of ``--forest-trees`` trees, 60 by default) with
-  ``max_features`` in {1, floor(sqrt(d)), cut, cut + 1, d - 1}, where the
-  cut is the largest ``max_features`` the engine grows on its rank
-  frontier.  Each point is fitted on both frontiers (the engine picks one;
-  the sweep forces each in turn) and both are asserted identical to the
-  recursive builder, so the sweep is the evidence for the cut and checks
-  identity on both sides of it.
+  ``max_features`` in {1, floor(sqrt(d)), d / 2, d / 2 + 1, d - 1}.  Each
+  point is fitted on both frontiers (the engine grows every subsampled
+  forest on its rank frontier; the sweep forces each in turn) and both are
+  asserted identical to the recursive builder, so the sweep is the evidence
+  for the frontier choice and checks identity on both.
 
 Writes ``BENCH_tree_fit.json`` at the repo root so future PRs have a perf
 trajectory to compare against, stamped with the core count, BLAS and the
@@ -142,8 +141,8 @@ def bench_forest(rows: int, features: int, classes: int, trees: int, seed: int,
 
 # -------------------------------------------------------------- mtry sweep
 def _sweep_mtry(features: int) -> list[int]:
-    cut = int(features * presort_mod._RANK_FRONTIER_SHARE)
-    picks = (1, math.isqrt(features), cut, cut + 1, features - 1)
+    half = features // 2
+    picks = (1, math.isqrt(features), half, half + 1, features - 1)
     return sorted({min(max(1, m), features - 1) for m in picks})
 
 

@@ -19,7 +19,7 @@ Quickstart::
     print(result.describe())
 """
 
-from repro.core import SmartML, SmartMLConfig, SmartMLResult
+from repro._lazy import lazy_exports
 from repro.exceptions import (
     BudgetExhaustedError,
     ConfigurationError,
@@ -30,7 +30,6 @@ from repro.exceptions import (
     SearchError,
     SmartMLError,
 )
-from repro.kb import KnowledgeBase, bootstrap_knowledge_base
 
 __version__ = "1.0.0"
 
@@ -50,3 +49,9 @@ __all__ = [
     "BudgetExhaustedError",
     "__version__",
 ]
+
+# The pipeline loads on first use, so ``import repro`` stays cheap.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.core": ("SmartML", "SmartMLConfig", "SmartMLResult"),
+    "repro.kb": ("KnowledgeBase", "bootstrap_knowledge_base"),
+})

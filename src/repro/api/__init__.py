@@ -1,16 +1,6 @@
 """REST API: async experiment-job server, job manager, journal, and client."""
 
-from repro.api.client import SmartMLClient
-from repro.api.jobs import (
-    ExperimentJob,
-    JobManager,
-    JobNotFoundError,
-    JobStateError,
-    QueueFullError,
-    ServiceDrainingError,
-)
-from repro.api.journal import JobJournal, JournalError
-from repro.api.server import SmartMLServer
+from repro._lazy import lazy_exports
 
 __all__ = [
     "SmartMLServer",
@@ -24,3 +14,13 @@ __all__ = [
     "QueueFullError",
     "ServiceDrainingError",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.api.client": ("SmartMLClient",),
+    "repro.api.jobs": (
+        "ExperimentJob", "JobManager", "JobNotFoundError", "JobStateError",
+        "QueueFullError", "ServiceDrainingError",
+    ),
+    "repro.api.journal": ("JobJournal", "JournalError"),
+    "repro.api.server": ("SmartMLServer",),
+})

@@ -33,7 +33,7 @@ Reliability layer (the crash/overload story):
   a replacement so a hung tuning run cannot occupy the pool forever).
 * **Bounded retries** — jobs that die from *infrastructure* faults
   (process-pool crash, shm exhaustion — see
-  :func:`~repro.parallel.dispatch.is_infrastructure_fault`) are re-queued
+  :func:`~repro.exceptions.is_infrastructure_fault`) are re-queued
   with exponential backoff + deterministic jitter, up to ``max_retries``;
   deterministic user errors fail immediately.
 * **Backpressure** — ``max_queue`` bounds accepted-but-unstarted work;
@@ -53,6 +53,7 @@ import logging
 import math
 import queue
 import random
+import sys
 import threading
 import time
 from collections import deque
@@ -60,12 +61,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.api.journal import JobJournal, JournalError
-from repro.core import SmartML, SmartMLConfig
+from repro.core.config import SmartMLConfig, validate_backend_name
+from repro.core.smartml import SmartML
 from repro.data.dataset import Dataset
 from repro.data.validation import ensure_valid_dataset
-from repro.exceptions import SmartMLError
-from repro.parallel import release_orphaned_segments, validate_backend_name
-from repro.parallel.dispatch import is_infrastructure_fault
+from repro.exceptions import SmartMLError, is_infrastructure_fault
 
 __all__ = [
     "ExperimentJob",
@@ -806,8 +806,11 @@ class JobManager:
             self._watchdog.join(timeout=1.0)
         # A dispatcher that died mid-fan-out (worker crash, interpreter
         # kill) may have left shared-memory segments without a live owner;
-        # reclaim them now rather than waiting for atexit.
-        release_orphaned_segments()
+        # reclaim them now rather than waiting for atexit.  Segments exist
+        # only once an experiment has loaded the shared-memory pool.
+        shared = sys.modules.get("repro.parallel.shared")
+        if shared is not None:
+            shared.release_orphaned_segments()
 
     # ------------------------------------------------------------- internals
     def _journal_safe(self, record: dict) -> None:

@@ -40,11 +40,10 @@ under instance weights, ``max_features`` and every criterion (enforced by
   (an argsort only past 63 packed bits), so the ids come out masked.  A
   ``max_features`` forest therefore need not partition all ``d`` column
   orders every level: :class:`_RankFrontier` keeps only the instance row
-  and sorts the keys of the candidate columns a level scans.  The
-  selection rule is a fixed input ratio: forests with ``max_features <=
-  _RANK_FRONTIER_SHARE * d`` grow on it; single trees, Bagging, wider
-  ``max_features``, the float-weight scan and the regression engine keep
-  the :class:`_PartitionFrontier`.
+  and sorts the keys of the candidate columns a level scans.  Every
+  subsampled forest (``max_features < d``) grows on it; single trees,
+  Bagging, the float-weight scan and the regression engine keep the
+  :class:`_PartitionFrontier`.
 * *Exact prefix sums*: with unit instance weights (or integer draw counts)
   every prefix count is an exact small integer, so one **segmented**
   cumsum over the concatenated frontier equals the reference's per-node
@@ -120,13 +119,13 @@ __all__ = [
 _VECTOR_CELLS = 1 << 22
 
 #: Largest ``max_features / d`` a forest fit grows on a :class:`_RankFrontier`
-#: (sorting only the scanned columns) rather than a
-#: :class:`_PartitionFrontier` (partitioning all ``d``).  From the ``mtry``
-#: sweep of ``benchmarks/bench_tree_fit.py`` (``BENCH_tree_fit.json``, 60
-#: trees at 250 x 24 and 1200 x 20): sorting is 2.0-2.4x faster at ``mtry =
-#: 1`` and 1.15-1.2x at ``d / 2``, but only 0.99-1.1x above it, where its
-#: O(m log m) sort per scanned column nears the O(d m) partition.
-_RANK_FRONTIER_SHARE = 0.5
+#: (sorting the scanned columns) rather than a :class:`_PartitionFrontier`
+#: (partitioning all ``d``); tests and the sweep set 0.0 or 1.0 to force one.
+#: Sorting is 2.0-2.4x faster at ``mtry = 1`` and 1.15-1.2x at ``d / 2``
+#: (``BENCH_tree_fit.json``); above ``d / 2``, 81 forest fits from perfbench's
+#: ``tune_heavy`` (15 % of its forest time) replayed in-process, alternating,
+#: read 1.09-1.13x at ``d <= 12`` and 1.14-1.16x above, predicting the same.
+_RANK_FRONTIER_SHARE = 1.0
 
 
 # --------------------------------------------------------------- presorting
@@ -1068,9 +1067,10 @@ def _grow_classification(
     sampler when ``max_features`` is active.  Returns the packed pre-order
     node table of :meth:`_NodeLog.assemble`.
 
-    A forest whose ``max_features`` is at most ``_RANK_FRONTIER_SHARE`` of
-    ``d`` grows on a :class:`_RankFrontier` (sort the scanned columns);
-    every other fit on a :class:`_PartitionFrontier` (partition all).
+    A subsampled forest grows on a :class:`_RankFrontier` (sort the
+    scanned columns) when ``max_features`` is at most
+    ``_RANK_FRONTIER_SHARE`` of ``d`` (always, at the default 1.0); every
+    other fit on a :class:`_PartitionFrontier` (partition all).
     """
     XT = presort.XT
     d = presort.n_cols

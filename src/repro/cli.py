@@ -46,15 +46,6 @@ import json
 import sys
 from pathlib import Path
 
-from repro import KnowledgeBase, SmartML, SmartMLConfig, bootstrap_knowledge_base
-from repro.data import (
-    TABLE4_CARDS,
-    eval_dataset_names,
-    load_eval_dataset,
-    load_kb_corpus,
-    read_arff,
-    read_csv,
-)
 from repro.exceptions import SmartMLError
 
 __all__ = ["main", "build_parser"]
@@ -62,6 +53,8 @@ __all__ = ["main", "build_parser"]
 
 def _load_dataset(args) -> object:
     """Resolve --dataset: a registry key or a csv/arff path."""
+    from repro.data import eval_dataset_names, load_eval_dataset, read_arff, read_csv
+
     if args.dataset in eval_dataset_names():
         return load_eval_dataset(args.dataset)
     path = Path(args.dataset)
@@ -76,13 +69,17 @@ def _load_dataset(args) -> object:
     return read_csv(path, target=target)
 
 
-def _open_kb(args) -> KnowledgeBase:
+def _open_kb(args):
+    from repro.kb import KnowledgeBase
+
     if not args.kb:
         return KnowledgeBase()
     return KnowledgeBase(args.kb, shards=getattr(args, "shards", None))
 
 
 def cmd_datasets(args, out) -> int:
+    from repro.data import TABLE4_CARDS
+
     print(f"{'key':14s} {'paper shape (d x k x n)':>24s} {'paper AW':>9s} {'paper SM':>9s}", file=out)
     for card in TABLE4_CARDS:
         shape = f"{card.paper_attributes}x{card.paper_classes}x{card.paper_instances}"
@@ -95,6 +92,9 @@ def cmd_datasets(args, out) -> int:
 
 
 def cmd_bootstrap(args, out) -> int:
+    from repro.data import load_kb_corpus
+    from repro.kb import bootstrap_knowledge_base
+
     kb = _open_kb(args)
     try:
         corpus = load_kb_corpus(n=args.n, seed=args.seed)
@@ -118,6 +118,8 @@ def cmd_bootstrap(args, out) -> int:
 
 
 def cmd_run(args, out) -> int:
+    from repro.core import SmartML, SmartMLConfig
+
     dataset = _load_dataset(args)
     kb = _open_kb(args)
     try:
@@ -202,6 +204,7 @@ def cmd_serve(args, out) -> int:  # pragma: no cover - blocking loop
     import threading
 
     from repro.api import SmartMLServer
+    from repro.core import SmartML
 
     kb = _open_kb(args)
     server = SmartMLServer(

@@ -1,9 +1,6 @@
 """The SmartML core: configuration, orchestration, results, Table 1."""
 
-from repro.core.comparison import FrameworkCard, framework_cards, render_table1
-from repro.core.config import SmartMLConfig
-from repro.core.result import CandidateResult, SmartMLResult
-from repro.core.smartml import SmartML
+from repro._lazy import lazy_exports
 
 __all__ = [
     "SmartML",
@@ -14,3 +11,10 @@ __all__ = [
     "framework_cards",
     "render_table1",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.core.comparison": ("FrameworkCard", "framework_cards", "render_table1"),
+    "repro.core.config": ("SmartMLConfig",),
+    "repro.core.result": ("CandidateResult", "SmartMLResult"),
+    "repro.core.smartml": ("SmartML",),
+})

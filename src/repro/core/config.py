@@ -12,9 +12,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.exceptions import ConfigurationError
-from repro.preprocess import PREPROCESSOR_REGISTRY
 
-__all__ = ["SmartMLConfig"]
+__all__ = ["BACKEND_NAMES", "SmartMLConfig", "validate_backend_name"]
+
+BACKEND_NAMES = ("serial", "thread", "process")
+
+
+def validate_backend_name(name: str) -> str:
+    if name not in BACKEND_NAMES:
+        raise ConfigurationError(
+            f"unknown execution backend {name!r}; "
+            f"choose one of {', '.join(BACKEND_NAMES)}"
+        )
+    return name
 
 
 @dataclass
@@ -93,6 +103,8 @@ class SmartMLConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if self.preprocessing:
+            from repro.preprocess import PREPROCESSOR_REGISTRY
         for name in self.preprocessing:
             if name not in PREPROCESSOR_REGISTRY:
                 raise ConfigurationError(
@@ -123,11 +135,7 @@ class SmartMLConfig:
             raise ConfigurationError("n_folds must be >= 2")
         if self.n_jobs < 1:
             raise ConfigurationError("n_jobs must be >= 1")
-        if self.backend not in ("serial", "thread", "process"):
-            raise ConfigurationError(
-                f"unknown execution backend {self.backend!r}; "
-                "choose one of serial, thread, process"
-            )
+        validate_backend_name(self.backend)
         if self.backend == "serial" and self.n_jobs != 1:
             raise ConfigurationError(
                 f"backend='serial' evaluates candidates one at a time and "

@@ -25,29 +25,17 @@ from collections.abc import Callable
 
 import numpy as np
 
+from repro._lazy import import_pipeline
 from repro.core.config import SmartMLConfig
-from repro.core.result import CandidateFailure, CandidateResult, SmartMLResult
 from repro.data.dataset import Dataset
 from repro.data.validation import ensure_valid_dataset
-from repro.ensemble import build_weighted_ensemble
-from repro.evaluation.metrics import accuracy
-from repro.evaluation.resampling import train_validation_split
-from repro.exceptions import (
-    ExperimentFailedError,
-    SmartMLError,
-    is_infrastructure_fault,
-)
-from repro.hpo import allocate_budget, uniform_budget
-from repro.interpret import permutation_importance
-from repro.kb import KnowledgeBase
+from repro.exceptions import ExperimentFailedError, SmartMLError, is_infrastructure_fault
+from repro.kb.knowledge_base import KnowledgeBase
 from repro.kb.similarity import Nomination
 from repro.metafeatures import extract_metafeatures
-from repro.preprocess import (
-    Imputer,
-    Pipeline,
-    PREPROCESSOR_REGISTRY,
-    UnivariateSelector,
-)
+
+# The pipeline stages are imported where they run (after import_pipeline),
+# so a server answers /readyz without loading them.
 
 __all__ = ["SmartML"]
 
@@ -111,6 +99,12 @@ class SmartML:
             return the registration summary dict.  ``None`` writes through
             ``self.registry`` directly.
         """
+        import_pipeline()
+        from repro.core.result import CandidateFailure, CandidateResult, SmartMLResult
+        from repro.evaluation import accuracy, train_validation_split
+        from repro.hpo import allocate_budget, uniform_budget
+        from repro.parallel.dispatch import execute_candidates
+
         config = config or SmartMLConfig()
         if register_as is not None:
             # Fail before any tuning happens, not after minutes of work.
@@ -194,8 +188,6 @@ class SmartML:
         # is identical whatever backend executes the plan; the dispatcher
         # reduces results back in nomination order.
         seeds = [int(rng.integers(0, 2**31 - 1)) for _ in nominations]
-        from repro.parallel.dispatch import execute_candidates
-
         outcomes = execute_candidates(
             nominations,
             seeds,
@@ -248,6 +240,8 @@ class SmartML:
                 (c.model, c.validation_accuracy) for c in candidates if c.model is not None
             ]
             if len(members) > 1:
+                from repro.ensemble import build_weighted_ensemble
+
                 ensemble = build_weighted_ensemble(members, top_k=config.n_algorithms)
                 predictions = ensemble.predict(validation_p.X)
                 result.ensemble = ensemble
@@ -256,6 +250,8 @@ class SmartML:
                 )
 
         if config.interpretability and best.model is not None:
+            from repro.interpret import permutation_importance
+
             result.importance = permutation_importance(
                 best.model,
                 validation_p.X,
@@ -310,6 +306,8 @@ class SmartML:
         """
         if is_infrastructure_fault(exc):
             raise exc
+        from repro.core.result import CandidateFailure
+
         failure = CandidateFailure.from_exception("(pipeline)", phase, exc)
         return ExperimentFailedError(
             f"experiment on dataset {dataset.name!r} failed during {phase}: "
@@ -319,38 +317,10 @@ class SmartML:
 
     @staticmethod
     def _build_pipeline(config: SmartMLConfig) -> Pipeline:
+        from repro.preprocess import PREPROCESSOR_REGISTRY, Imputer, Pipeline, UnivariateSelector
+
         steps = [Imputer()]
         if config.feature_selection_k is not None:
             steps.append(UnivariateSelector(config.feature_selection_k))
         steps.extend(PREPROCESSOR_REGISTRY[name]() for name in config.preprocessing)
         return Pipeline(steps)
-
-    @staticmethod
-    def _tune_candidate(
-        nomination: Nomination,
-        budget_s: float | None,
-        config: SmartMLConfig,
-        train_p: Dataset,
-        validation_p: Dataset,
-        n_classes: int,
-        seed: int,
-        fold_seed: int | None = None,
-    ) -> CandidateResult:
-        # Thin compatibility wrapper; the body lives in
-        # repro.parallel.dispatch so process workers can run it on raw
-        # arrays without a Dataset round-trip.
-        from repro.parallel.dispatch import tune_candidate
-
-        return tune_candidate(
-            nomination.algorithm,
-            nomination.warm_configs,
-            budget_s,
-            config,
-            train_p.X,
-            train_p.y,
-            validation_p.X,
-            validation_p.y,
-            n_classes,
-            seed=seed,
-            fold_seed=fold_seed,
-        )

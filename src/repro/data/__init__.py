@@ -1,23 +1,6 @@
 """Dataset substrate: container, file formats, synthetic corpora."""
 
-from repro.data.dataset import Dataset
-from repro.data.io import parse_arff_text, parse_csv_text, read_arff, read_csv
-from repro.data.registry import (
-    TABLE4_CARDS,
-    DatasetCard,
-    eval_dataset_names,
-    kb_corpus_specs,
-    load_eval_dataset,
-    load_kb_corpus,
-)
-from repro.data.synthetic import SyntheticSpec, make_blobs, make_dataset
-from repro.data.validation import (
-    ValidationIssue,
-    ValidationReport,
-    ensure_valid_dataset,
-    validate_dataset,
-)
-from repro.data.writers import dataset_to_arff, dataset_to_csv, write_arff, write_csv
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Dataset",
@@ -43,3 +26,17 @@ __all__ = [
     "validate_dataset",
     "ensure_valid_dataset",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.data.dataset": ("Dataset",),
+    "repro.data.io": ("parse_arff_text", "parse_csv_text", "read_arff", "read_csv"),
+    "repro.data.registry": (
+        "TABLE4_CARDS", "DatasetCard", "eval_dataset_names", "kb_corpus_specs",
+        "load_eval_dataset", "load_kb_corpus",
+    ),
+    "repro.data.synthetic": ("SyntheticSpec", "make_blobs", "make_dataset"),
+    "repro.data.validation": (
+        "ValidationIssue", "ValidationReport", "ensure_valid_dataset", "validate_dataset",
+    ),
+    "repro.data.writers": ("dataset_to_arff", "dataset_to_csv", "write_arff", "write_csv"),
+})

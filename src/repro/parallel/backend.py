@@ -37,6 +37,7 @@ import threading
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
+from repro.core.config import BACKEND_NAMES, validate_backend_name
 from repro.exceptions import ConfigurationError
 
 __all__ = [
@@ -53,20 +54,9 @@ __all__ = [
 
 logger = logging.getLogger("repro.parallel")
 
-BACKEND_NAMES = ("serial", "thread", "process")
-
 
 class ProcessBackendUnavailable(RuntimeError):
     """The process pool could not run the plan; degrade to threads."""
-
-
-def validate_backend_name(name: str) -> str:
-    if name not in BACKEND_NAMES:
-        raise ConfigurationError(
-            f"unknown execution backend {name!r}; "
-            f"choose one of {', '.join(BACKEND_NAMES)}"
-        )
-    return name
 
 
 class ExecutionBackend:

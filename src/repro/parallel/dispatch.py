@@ -55,15 +55,10 @@ from repro.parallel.shared import ArrayHandle, SharedArrayPool, WorkerContext
 __all__ = [
     "CandidateTask",
     "execute_candidates",
-    "is_infrastructure_fault",
     "tune_candidate",
 ]
 
 logger = logging.getLogger("repro.parallel")
-
-# is_infrastructure_fault now lives in repro.exceptions (the SMAC loop needs
-# it too and importing this module from repro.hpo would be circular); the
-# name stays importable from here for existing callers.
 
 
 def tune_candidate(

@@ -38,6 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro._lazy import import_pipeline
 from repro.data.dataset import Dataset
 from repro.exceptions import SmartMLError
 from repro.kb.snapshots import (
@@ -488,6 +489,7 @@ class ModelRegistry:
             raise RegistryError(str(exc)) from exc
         except SnapshotIntegrityError as exc:
             raise RegistryError(str(exc)) from exc
+        import_pipeline()  # a snapshot names classes across the pipeline
         try:
             payload = marshal.loads(raw)
             if not isinstance(payload, dict):

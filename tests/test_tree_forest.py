@@ -122,9 +122,8 @@ class _SeedReplay:
 
 # ------------------------------------- frontier choice: sort vs partition
 def _mtry_choices(d):
-    """``max_features`` on both sides of the frontier cut, and at its ends."""
-    cut = int(d * presort_mod._RANK_FRONTIER_SHARE)
-    return sorted({max(1, m) for m in (1, cut, cut + 1, d - 1)})
+    """``max_features`` at 1, either side of ``d / 2`` and ``d - 1``."""
+    return sorted({max(1, m) for m in (1, d // 2, d // 2 + 1, d - 1)})
 
 
 @settings(max_examples=80, deadline=None)
@@ -136,12 +135,13 @@ def _mtry_choices(d):
     nodesize=st.integers(min_value=1, max_value=15),
     tie_heavy=st.booleans(),
     group_rows=st.sampled_from([None, 40]),
+    rank_share=st.sampled_from([0.0, 1.0]),
 )
 def test_property_forest_members_match_build_tree_across_frontier_cut(
-    seed, n_trees, d, mtry_pick, nodesize, tie_heavy, group_rows
+    seed, n_trees, d, mtry_pick, nodesize, tie_heavy, group_rows, rank_share
 ):
-    # max_features at 1, the cut, cut + 1 and d - 1 grows the forest on
-    # both frontiers; either way every member is build_tree(X[s], y[s]).
+    # _RANK_FRONTIER_SHARE 0.0 forces the partition frontier and 1.0 the
+    # rank frontier; on either, every member is build_tree(X[s], y[s]).
     rng = np.random.default_rng(seed)
     n = int(rng.integers(5, 90))
     k = int(rng.integers(2, 11))  # k = 2 cumsums one class; k > 7 sums pairwise
@@ -163,6 +163,7 @@ def test_property_forest_members_match_build_tree_across_frontier_cut(
         seeds.append(draw_tree_seed(rng) if subsampling else None)
 
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(presort_mod, "_RANK_FRONTIER_SHARE", rank_share)
         if group_rows is not None:
             # Several lockstep groups, each on its own frontier.
             patch.setattr(presort_mod, "_LOCKSTEP_INSTANCES", group_rows)
