@@ -7,16 +7,19 @@ algorithm under an evaluation-count budget — through
 * ``serial`` (1 worker) — the reference plan and the reference results;
 * ``thread`` at 1/2/4 workers — shares every in-process cache but is
   GIL-capped for the numpy-light parts of the loop;
-* ``process`` at 1/2/4 workers — fold data crosses the boundary once via
-  ``multiprocessing.shared_memory``; each worker attaches zero-copy and
-  rebuilds presorts/substrates once.
+* ``process`` at 1/2/4 workers — each task and its fold arrays travel to
+  a cached worker pool by pickle; ``--repeats`` plans reuse one pool.
 
 Every backend's per-candidate results (best config, CV error, validation
 accuracy, evaluation counts) are asserted **identical** to the serial
 plan before any number is reported — the determinism contract is part of
-the benchmark, not a separate test.  Speedups are only expected when the
-host actually has cores to scale onto; ``cpu_count`` is recorded so a
-1-core CI box reporting ~1x is read as honest, not as a regression.
+the benchmark, not a separate test.  Identity alone would also hold when
+a broken process pool replays its plan on threads, so the run exits
+non-zero if any process cell logged such a fallback (after writing the
+JSON, which counts them per cell).  Speedups are only expected when the
+host actually has cores to scale onto; the environment (``cpu_count``,
+BLAS, thread settings) is recorded so a 1-core box reporting ~1x is read
+as honest, not as a regression.
 
 Writes ``BENCH_parallel_scale.json`` at the repo root.
 
@@ -28,8 +31,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import os
-import platform
 import time
 from pathlib import Path
 
@@ -39,6 +42,8 @@ from repro.core import SmartMLConfig
 from repro.data import SyntheticSpec, make_dataset
 from repro.kb.similarity import Nomination
 from repro.parallel.dispatch import execute_candidates
+
+from bench_tree_fit import environment
 
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_parallel_scale.json"
 
@@ -81,8 +86,20 @@ def _signature(results) -> list[tuple]:
     ]
 
 
+class _FallbackCounter(logging.Handler):
+    """Counts plans the dispatcher replayed on threads after a pool failure."""
+
+    def __init__(self):
+        super().__init__(level=logging.WARNING)
+        self.count = 0
+
+    def emit(self, record: logging.LogRecord) -> None:
+        if "process backend unavailable" in record.getMessage():
+            self.count += 1
+
+
 def _run(backend: str, workers: int, evals: int, plan, problem,
-         repeats: int) -> tuple[float, list[tuple]]:
+         repeats: int) -> tuple[float, list[tuple], int]:
     nominations, seeds, budgets = plan
     X_tr, y_tr, X_va, y_va, classes = problem
     config = SmartMLConfig(
@@ -91,17 +108,23 @@ def _run(backend: str, workers: int, evals: int, plan, problem,
     )
     best = np.inf
     signature = None
-    for _ in range(max(1, repeats)):
-        started = time.perf_counter()
-        results = execute_candidates(
-            nominations, seeds, budgets, config, X_tr, y_tr, X_va, y_va,
-            classes,
-        )
-        elapsed = time.perf_counter() - started
-        if elapsed < best:
-            best = elapsed
-        signature = _signature(results)
-    return best, signature
+    fallbacks = _FallbackCounter()
+    logger = logging.getLogger("repro.parallel")
+    logger.addHandler(fallbacks)
+    try:
+        for _ in range(max(1, repeats)):
+            started = time.perf_counter()
+            results = execute_candidates(
+                nominations, seeds, budgets, config, X_tr, y_tr, X_va, y_va,
+                classes,
+            )
+            elapsed = time.perf_counter() - started
+            if elapsed < best:
+                best = elapsed
+            signature = _signature(results)
+    finally:
+        logger.removeHandler(fallbacks)
+    return best, signature, fallbacks.count
 
 
 def main() -> None:
@@ -126,14 +149,14 @@ def main() -> None:
     print(f"{len(algorithms)} candidates x {args.evals} evals on "
           f"{args.rows}x{args.features} ({os.cpu_count()} cpu(s)) ...")
 
-    serial_s, reference = _run("serial", 1, args.evals, plan, problem,
-                               args.repeats)
+    serial_s, reference, _ = _run("serial", 1, args.evals, plan, problem,
+                                  args.repeats)
     print(f"serial: {serial_s:.3f}s")
 
     cells = {}
     for backend in ("thread", "process"):
         for workers in args.workers:
-            elapsed, signature = _run(
+            elapsed, signature, fallbacks = _run(
                 backend, workers, args.evals, plan, problem, args.repeats
             )
             if signature != reference:
@@ -146,9 +169,11 @@ def main() -> None:
                 "seconds": round(elapsed, 4),
                 "speedup_vs_serial": round(serial_s / elapsed, 2),
                 "results_identical": True,
+                "thread_fallbacks": fallbacks,
             }
             print(f"{backend}@{workers}: {elapsed:.3f}s "
-                  f"({serial_s / elapsed:.2f}x vs serial)")
+                  f"({serial_s / elapsed:.2f}x vs serial)"
+                  + (f", {fallbacks} thread fallback(s)" if fallbacks else ""))
 
     payload = {
         "benchmark": "parallel_candidate_scale",
@@ -157,14 +182,19 @@ def main() -> None:
         "evals_per_algorithm": args.evals,
         "rows": args.rows, "features": args.features,
         "classes": args.classes, "repeats": args.repeats,
-        "cpu_count": os.cpu_count(),
         "serial_seconds": round(serial_s, 4),
         "cells": cells,
-        "python": platform.python_version(),
-        "numpy": np.__version__,
+        "env": environment(),
     }
     OUTPUT.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {OUTPUT}")
+    broken = [name for name, cell in cells.items() if cell["thread_fallbacks"]]
+    if broken:
+        raise SystemExit(
+            f"{', '.join(broken)}: the process pool failed and the plan was "
+            "replayed on threads — identical results do not show a working "
+            "process backend"
+        )
 
 
 if __name__ == "__main__":

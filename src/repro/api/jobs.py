@@ -32,7 +32,7 @@ Reliability layer (the crash/overload story):
   the job at its deadline, retires the stuck worker as a zombie and starts
   a replacement so a hung tuning run cannot occupy the pool forever).
 * **Bounded retries** — jobs that die from *infrastructure* faults
-  (process-pool crash, shm exhaustion — see
+  (process-pool crash, out of memory — see
   :func:`~repro.exceptions.is_infrastructure_fault`) are re-queued
   with exponential backoff + deterministic jitter, up to ``max_retries``;
   deterministic user errors fail immediately.
@@ -53,19 +53,21 @@ import logging
 import math
 import queue
 import random
-import sys
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from repro.api.journal import JobJournal, JournalError
 from repro.core.config import SmartMLConfig, validate_backend_name
 from repro.core.smartml import SmartML
 from repro.data.dataset import Dataset
 from repro.data.validation import ensure_valid_dataset
 from repro.exceptions import SmartMLError, is_infrastructure_fault
+
+if TYPE_CHECKING:
+    from repro.api.journal import JobJournal
 
 __all__ = [
     "ExperimentJob",
@@ -314,11 +316,14 @@ class JobManager:
         self.watchdog_interval_s = watchdog_interval_s
         self._clock = clock
         self._retry_rng = random.Random(retry_seed)
-        self.journal = (
-            journal
-            if isinstance(journal, JobJournal) or journal is None
-            else JobJournal(journal, clock=clock)
-        )
+        if journal is not None:
+            # Loaded only when configured: a server without --journal never
+            # imports the journal module.
+            from repro.api.journal import JobJournal
+
+            if not isinstance(journal, JobJournal):
+                journal = JobJournal(journal, clock=clock)
+        self.journal = journal
         self._jobs: dict[int, ExperimentJob] = {}
         self._job_inputs: dict[int, tuple[Dataset, SmartMLConfig]] = {}
         self._ids = itertools.count(1)
@@ -795,6 +800,8 @@ class JobManager:
                         "appends may still be in flight", timeout,
                     )
         if self.journal is not None:
+            from repro.api.journal import JournalError
+
             try:
                 if stragglers:
                     self.journal.flush()
@@ -804,19 +811,14 @@ class JobManager:
                 logger.warning("journal flush on shutdown failed: %s", exc)
         if wait:
             self._watchdog.join(timeout=1.0)
-        # A dispatcher that died mid-fan-out (worker crash, interpreter
-        # kill) may have left shared-memory segments without a live owner;
-        # reclaim them now rather than waiting for atexit.  Segments exist
-        # only once an experiment has loaded the shared-memory pool.
-        shared = sys.modules.get("repro.parallel.shared")
-        if shared is not None:
-            shared.release_orphaned_segments()
 
     # ------------------------------------------------------------- internals
     def _journal_safe(self, record: dict) -> None:
         """Best-effort journal append: never let journaling fail a job."""
         if self.journal is None:
             return
+        from repro.api.journal import JournalError
+
         try:
             self.journal.append(record)
         except JournalError as exc:

@@ -251,7 +251,6 @@ class Substrate:
 
     __slots__ = (
         "X",
-        "aliases",
         "_lock",
         "_moments",
         "_Z",
@@ -273,9 +272,6 @@ class Substrate:
 
     def __init__(self, X: np.ndarray):
         self.X = np.asarray(X, dtype=np.float64)
-        #: Content-identical array objects sharing this substrate (strong
-        #: refs; populated by the content-keyed registry path).
-        self.aliases: list[np.ndarray] = []
         self._lock = threading.RLock()
         self._moments: tuple[np.ndarray, np.ndarray] | None = None
         self._Z: np.ndarray | None = None
@@ -292,10 +288,6 @@ class Substrate:
         self._rda = _IdentityCache(_LABEL_CACHE_MAX)
         self._lda_eig = _IdentityCache(_LABEL_CACHE_MAX)
         self._rda_eig = _IdentityCache(_EIG_CACHE_MAX)
-
-    def covers(self, X: np.ndarray) -> bool:
-        """Whether ``X`` is this substrate's matrix or a registered alias."""
-        return self.X is X or any(alias is X for alias in self.aliases)
 
     # Fitted models keep a substrate reference for predict-side caches; a
     # process-backend worker therefore pickles substrates back with its
@@ -677,59 +669,31 @@ class Substrate:
 # CrossValObjective pins one substrate per fold here so every non-tree HPO
 # candidate evaluated on that fold reuses it.  Keys are array object
 # identities; entries are weak so a dying objective releases its caches.
-#
-# ``content_key`` rekeys the registry by content, exactly as in
-# ``tree/presort.py``: a worker that attaches a shared-memory fold buffer
-# registers its view under ``("segment", digest)``, so re-attachments of
-# the same published content resolve to one substrate (and one set of
-# caches) even though each attachment is a distinct array object.  Later
-# arrays join as aliases; identity lookups on them hit the same entry.
 _SHARED: dict[int, "weakref.ref[Substrate]"] = {}
-_SHARED_BY_KEY: dict[tuple, "weakref.ref[Substrate]"] = {}
 _SHARED_LOCK = threading.Lock()
 
 
-def _register_identity(entry: Substrate, X: np.ndarray) -> None:
-    key = id(X)
-    _SHARED[key] = weakref.ref(
-        entry, lambda _ref, _key=key: _SHARED.pop(_key, None)
-    )
-
-
-def share_substrate(X: np.ndarray, content_key: tuple | None = None) -> Substrate:
+def share_substrate(X: np.ndarray) -> Substrate:
     """Register ``X`` for substrate sharing; keep the returned handle alive.
 
     Everything inside is computed lazily on first use, so registering
-    folds whose families never look anything up costs nothing.  With
-    ``content_key`` the registration is also content-addressed: callers
-    that *know* two arrays hold identical content (the shared-memory
-    attachment path, keyed by segment digest) funnel them into one
-    substrate, so per-fold caches are built once however many views exist.
+    folds whose families never look anything up costs nothing.
     """
     X = np.asarray(X)
     with _SHARED_LOCK:
         existing = _SHARED.get(id(X))
         entry = existing() if existing is not None else None
-        if entry is not None and entry.covers(X):
+        if entry is not None and entry.X is X:
             return entry
-        if content_key is not None:
-            ref = _SHARED_BY_KEY.get(content_key)
-            entry = ref() if ref is not None else None
-            if entry is not None:
-                entry.aliases.append(X)
-                _register_identity(entry, X)
-                return entry
         entry = Substrate(X)
         if entry.X is not X:
             # ``X`` was not float64; the converted copy has no stable
             # identity, so the entry cannot be shared meaningfully.
             return entry
-        _register_identity(entry, X)
-        if content_key is not None:
-            _SHARED_BY_KEY[content_key] = weakref.ref(
-                entry,
-                lambda _ref, _key=content_key: _SHARED_BY_KEY.pop(_key, None),
-            )
+        key = id(X)
+        _SHARED[key] = weakref.ref(
+            entry, lambda _ref, _key=key: _SHARED.pop(_key, None)
+        )
         return entry
 
 
@@ -737,7 +701,7 @@ def shared_substrate_for(X: np.ndarray) -> Substrate | None:
     """The shared substrate registered for this exact array object, if any."""
     ref = _SHARED.get(id(X))
     entry = ref() if ref is not None else None
-    if entry is not None and entry.covers(X):
+    if entry is not None and entry.X is X:
         return entry
     return None
 

@@ -179,35 +179,21 @@ class PresortedMatrix:
 # candidate evaluated on that fold — across all HPO configurations — reuses
 # it.  Keys are array object identities; entries are weak so a dying
 # objective releases its presorts.  Lookup verifies the array object itself
-# (``is`` against the entry's matrix or any registered alias), so a
-# recycled id can never alias a different matrix.
-#
-# ``content_key`` rekeys the registry by content: a worker that attaches a
-# shared-memory fold buffer registers its view under ``("segment",
-# digest)``, so re-attachments of the same published content — across
-# candidates and across fan-outs — resolve to one entry (and one argsort)
-# even though each attachment is a distinct array object.  The later
-# arrays join the entry as *aliases*; identity lookups on them hit too.
+# (``is`` against the entry's matrix), so a recycled id can never alias a
+# different matrix.
 _SHARED: dict[int, "weakref.ref[_SharedEntry]"] = {}
-_SHARED_BY_KEY: dict[tuple, "weakref.ref[_SharedEntry]"] = {}
 _SHARED_LOCK = threading.Lock()
 
 
 class _SharedEntry:
     """Strong handle to a lazily-computed shared presort."""
 
-    __slots__ = ("X", "aliases", "_presort", "_lock", "__weakref__")
+    __slots__ = ("X", "_presort", "_lock", "__weakref__")
 
     def __init__(self, X: np.ndarray):
         self.X = X
-        #: Content-identical array objects sharing this entry (strong refs;
-        #: they are zero-copy views whose buffers live elsewhere anyway).
-        self.aliases: list[np.ndarray] = []
         self._presort: PresortedMatrix | None = None
         self._lock = threading.Lock()
-
-    def covers(self, X: np.ndarray) -> bool:
-        return self.X is X or any(alias is X for alias in self.aliases)
 
     def presort(self) -> PresortedMatrix:
         with self._lock:
@@ -216,43 +202,23 @@ class _SharedEntry:
             return self._presort
 
 
-def _register_identity(entry: _SharedEntry, X: np.ndarray) -> None:
-    key = id(X)
-    _SHARED[key] = weakref.ref(
-        entry, lambda _ref, _key=key: _SHARED.pop(_key, None)
-    )
-
-
-def share_presort(X: np.ndarray, content_key: tuple | None = None) -> _SharedEntry:
+def share_presort(X: np.ndarray) -> _SharedEntry:
     """Register ``X`` for presort sharing; keep the returned handle alive.
 
     The presort itself is computed lazily on the first tree fit that looks
     it up, so registering folds that never train a tree costs nothing.
-    With ``content_key`` the registration is also content-addressed:
-    callers that *know* two arrays hold identical content (the shared-
-    memory attachment path, keyed by segment digest) funnel them into one
-    entry, so the argsort is computed once however many views exist.
     """
     X = np.asarray(X)
     with _SHARED_LOCK:
         existing = _SHARED.get(id(X))
         entry = existing() if existing is not None else None
-        if entry is not None and entry.covers(X):
+        if entry is not None and entry.X is X:
             return entry
-        if content_key is not None:
-            ref = _SHARED_BY_KEY.get(content_key)
-            entry = ref() if ref is not None else None
-            if entry is not None:
-                entry.aliases.append(X)
-                _register_identity(entry, X)
-                return entry
         entry = _SharedEntry(X)
-        _register_identity(entry, X)
-        if content_key is not None:
-            _SHARED_BY_KEY[content_key] = weakref.ref(
-                entry,
-                lambda _ref, _key=content_key: _SHARED_BY_KEY.pop(_key, None),
-            )
+        key = id(X)
+        _SHARED[key] = weakref.ref(
+            entry, lambda _ref, _key=key: _SHARED.pop(_key, None)
+        )
         return entry
 
 
@@ -260,7 +226,7 @@ def shared_presort_for(X: np.ndarray) -> PresortedMatrix | None:
     """The shared presort registered for this exact array object, if any."""
     ref = _SHARED.get(id(X))
     entry = ref() if ref is not None else None
-    if entry is not None and entry.covers(X):
+    if entry is not None and entry.X is X:
         return entry.presort()
     return None
 

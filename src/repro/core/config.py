@@ -73,10 +73,10 @@ class SmartMLConfig:
     backend:
         How phase-4 candidate evaluation crosses ``n_jobs``:
         ``"thread"`` (default) uses an in-process thread pool,
-        ``"process"`` a process pool with fold data in shared memory
-        (scales with cores; degrades to threads if shared memory or the
-        pool is unavailable), ``"serial"`` forces a plain loop and
-        requires ``n_jobs=1``.  All three produce identical results
+        ``"process"`` a process pool that receives the fold data by
+        pickle (scales with cores; replays the plan on threads if the
+        pool breaks), ``"serial"`` forces a plain loop and requires
+        ``n_jobs=1``.  All three produce identical results
         under evaluation-count budgets.
     seed:
         Master seed; all phase seeds derive from it.

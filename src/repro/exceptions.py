@@ -93,9 +93,9 @@ def is_infrastructure_fault(exc: BaseException) -> bool:
     """Whether an exception is environmental rather than the user's fault.
 
     The candidate dispatcher already degrades ``process`` -> ``thread``
-    in-plan (pool crash, shm exhaustion, unpicklable payload), so faults of
-    this class that still surface killed the *replay* too — a sick host, not
-    a bad request.  The job service retries these with bounded exponential
+    in-plan (pool crash, unpicklable payload), so faults of this class
+    that still surface killed the *replay* too — a sick host, not a bad
+    request.  The job service retries these with bounded exponential
     backoff; deterministic user errors (bad config, degenerate data, a
     raising classifier) are never retried — re-running them burns a worker
     to produce the same failure — and the quarantine layers

@@ -4,11 +4,21 @@ Wraps (model factory, training data) as a fold-wise error function with
 per-``(config, fold)`` caching, so racing never refits a configuration on a
 fold it has already seen — the cache is what makes SMAC's intensification
 cheap.
+
+Folds are also shared *across* objectives: :func:`canonical_fold` keys
+each fold by content digest, so two objectives that split the same data
+the same way (the HPO candidates of one dispatch plan, on any backend)
+are handed the same fold arrays and the same live presort/substrate
+state, computed once per process.
 """
 
 from __future__ import annotations
 
+import hashlib
+import threading
 import time
+import weakref
+from collections import deque
 from typing import Callable
 
 import numpy as np
@@ -18,11 +28,81 @@ from repro.classifiers.substrate import pin_block, share_substrate
 from repro.classifiers.tree.presort import share_presort
 from repro.evaluation.metrics import error_rate
 from repro.evaluation.resampling import stratified_kfold_indices
-from repro.parallel.shared import canonical_fold
 
 __all__ = ["CrossValObjective"]
 
 Config = dict[str, object]
+
+#: Recent fold bundles kept alive so their presorts/substrates survive
+#: between objectives (one bundle per fold; 2 datasets x 3 folds).
+_FOLD_KEEPALIVE_MAX = 6
+
+
+def array_digest(array: np.ndarray) -> str:
+    """128-bit blake2b content digest over dtype, shape and C-order bytes."""
+    array = np.ascontiguousarray(array)
+    h = hashlib.blake2b(digest_size=16)
+    h.update(str(array.dtype).encode())
+    h.update(repr(array.shape).encode())
+    h.update(array.tobytes())
+    return h.hexdigest()
+
+
+class _FoldBundle:
+    """Canonical arrays of one fold plus its live registry handles."""
+
+    __slots__ = ("arrays", "handles", "__weakref__")
+
+    def __init__(self, arrays: tuple[np.ndarray, ...]):
+        self.arrays = arrays
+        # (presort, substrate) on the training matrix, pin on the test
+        # block: lazy registrations, computed on first use and shared by
+        # every objective handed this bundle.
+        X_train, _y_train, X_test, _y_test = arrays
+        self.handles = (
+            share_presort(X_train),
+            share_substrate(X_train),
+            pin_block(X_test),
+        )
+
+
+_FOLDS: dict[str, "weakref.ref[_FoldBundle]"] = {}
+_FOLDS_LOCK = threading.Lock()
+#: Strong refs to recent bundles so presorts/substrates survive between
+#: objectives (bounded; the weak registry does the actual lookups).
+_FOLD_KEEPALIVE: deque[_FoldBundle] = deque(maxlen=_FOLD_KEEPALIVE_MAX)
+
+
+def canonical_fold(
+    X_train: np.ndarray,
+    y_train: np.ndarray,
+    X_test: np.ndarray,
+    y_test: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The canonical array objects for this fold content.
+
+    Keyed by the combined content digest of all four arrays: the first
+    registration wins and later content-identical folds (other HPO
+    candidates racing the same split in this process) are handed the same
+    array objects — so the identity-keyed presort/substrate registries
+    hit, and each fold's expensive state is built once per process.
+    Callers must treat the returned arrays as read-only.
+    """
+    parts = (X_train, y_train, X_test, y_test)
+    h = hashlib.blake2b(digest_size=16)
+    for part in parts:
+        h.update(array_digest(part).encode())
+    key = h.hexdigest()
+    with _FOLDS_LOCK:
+        ref = _FOLDS.get(key)
+        bundle = ref() if ref is not None else None
+        if bundle is None:
+            bundle = _FoldBundle(parts)
+            _FOLDS[key] = weakref.ref(
+                bundle, lambda _ref, _key=key: _FOLDS.pop(_key, None)
+            )
+        _FOLD_KEEPALIVE.append(bundle)
+        return bundle.arrays
 
 
 class CrossValObjective:

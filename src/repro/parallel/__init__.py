@@ -1,9 +1,9 @@
-"""Process-pool execution backend with shared-memory fold substrates.
+"""Serial, thread and process execution of the phase-4 candidate fan-out.
 
-``backend.py`` defines the serial/thread/process execution abstraction,
-``shared.py`` the shared-memory array pool, worker-side attachment cache
-and content-addressed fold registry, and ``dispatch.py`` the deterministic
-candidate fan-out that ``SmartML.run`` phase 4 delegates to.
+``backend.py`` defines the serial/thread/process execution abstraction and
+``dispatch.py`` the deterministic candidate fan-out that ``SmartML.run``
+phase 4 delegates to.  Every backend runs the same picklable task; under
+``process`` the fold arrays travel to the workers by pickle.
 """
 
 from repro.parallel.backend import (
@@ -17,32 +17,16 @@ from repro.parallel.backend import (
     shutdown_backends,
     validate_backend_name,
 )
-from repro.parallel.shared import (
-    ArrayHandle,
-    SharedArrayPool,
-    WorkerContext,
-    array_digest,
-    canonical_fold,
-    clear_fold_cache,
-    release_orphaned_segments,
-)
 
 __all__ = [
     "BACKEND_NAMES",
-    "ArrayHandle",
     "ExecutionBackend",
     "ProcessBackend",
     "ProcessBackendUnavailable",
     "SerialBackend",
-    "SharedArrayPool",
     "ThreadBackend",
-    "WorkerContext",
-    "array_digest",
-    "canonical_fold",
-    "clear_fold_cache",
     "execute_candidates",
     "get_backend",
-    "release_orphaned_segments",
     "shutdown_backends",
     "validate_backend_name",
 ]
@@ -51,7 +35,7 @@ __all__ = [
 def __getattr__(name: str):
     # dispatch.py imports from repro.hpo / repro.core; loading it lazily
     # keeps this package importable from either side of that boundary.
-    if name in ("execute_candidates", "tune_candidate", "CandidateTask"):
+    if name in ("execute_candidates", "tune_candidate"):
         from repro.parallel import dispatch
 
         return getattr(dispatch, name)

@@ -9,12 +9,10 @@ and returns results **in submission order** — with three implementations:
   in-process cache, but the GIL caps it at ~1 core of Python time;
 * ``process`` — a shared, lazily-started ``ProcessPoolExecutor`` so
   candidate evaluation scales with cores.  Task functions must be
-  module-level and their payloads picklable; fold data travels through
-  :mod:`repro.parallel.shared` segments, not through pickles.
+  module-level and their payloads — fold arrays included — picklable.
 
 The process pool is cached per worker count and reused across runs and
-jobs (worker start-up is paid once per service lifetime, and worker-side
-attachment/substrate caches stay warm between fan-outs).  A broken pool
+jobs (worker start-up is paid once per service lifetime).  A broken pool
 (worker crash, interpreter death) raises
 :class:`ProcessBackendUnavailable`; the dispatcher catches it, evicts the
 broken pool and replays the plan on the thread backend — results are
@@ -110,24 +108,16 @@ def _after_fork_reset() -> None:  # pragma: no cover - runs in forked child
     """
     from repro.classifiers import substrate
     from repro.classifiers.tree import presort
-    from repro.parallel import shared
+    from repro.hpo import objective
 
     presort._SHARED_LOCK = threading.Lock()
     presort._SHARED.clear()
-    presort._SHARED_BY_KEY.clear()
     substrate._SHARED_LOCK = threading.Lock()
     substrate._SHARED.clear()
-    substrate._SHARED_BY_KEY.clear()
     substrate._PINNED.clear()
-    shared._FOLDS_LOCK = threading.Lock()
-    shared._FOLDS.clear()
-    shared._FOLD_KEEPALIVE.clear()
-    shared._SEGMENTS_LOCK = threading.Lock()
-    # The child does not own the parent's segments; forget, don't unlink.
-    shared._OWNED_SEGMENTS.clear()
-    shared._SEGMENT_OWNERS.clear()
-    shared.WorkerContext._instance_lock = threading.Lock()
-    shared.WorkerContext._instance = None
+    objective._FOLDS_LOCK = threading.Lock()
+    objective._FOLDS.clear()
+    objective._FOLD_KEEPALIVE.clear()
 
 
 if hasattr(os, "register_at_fork"):
@@ -176,9 +166,8 @@ atexit.register(shutdown_backends)
 class ProcessBackend(ExecutionBackend):
     """Fan work out to a cached process pool.
 
-    ``fn`` must be a module-level callable and every item picklable; the
-    arrays themselves should travel as :class:`~repro.parallel.shared.
-    ArrayHandle`\\ s.  Any pool-level failure (a crashed worker, an
+    ``fn`` (a module-level callable, or a ``functools.partial`` of one)
+    and every item must be picklable.  Any pool-level failure (a crashed worker, an
     unpicklable payload, a dead interpreter) raises
     :class:`ProcessBackendUnavailable` so the caller can degrade.
     """
@@ -194,8 +183,8 @@ class ProcessBackend(ExecutionBackend):
         # Validate picklability BEFORE anything reaches the pool: on 3.11 a
         # payload that fails to pickle inside the executor's queue-feeder
         # thread can deadlock the whole pool (the manager thread never
-        # wakes for the subsequent shutdown).  Payloads are tiny by design
-        # — arrays travel as shared-memory handles — so this is cheap.
+        # wakes for the subsequent shutdown).  Payloads are the fold arrays
+        # of laptop-scale datasets, so one extra pickle is cheap.
         try:
             pickle.dumps(fn)
             for item in items:

@@ -19,19 +19,23 @@ determinism contract:
   and every fold's presort/substrate is computed once per process;
 * results are reduced in submission order, whatever order workers finish.
 
-**Degradation ladder.**  ``process`` needs shared memory and a healthy
-pool; if publishing segments fails (``/dev/shm`` exhausted), the pool
-breaks mid-plan (worker crash) or a payload will not pickle, the full
-plan is replayed on the **thread** backend with a logged warning — seeds
-were pre-drawn, so the replay is result-identical and jobs never fail
-for infrastructure reasons.
+**One dispatch path.**  Every backend maps the same module-level task
+(:func:`_tune_nominated` bound to the plan's arrays and config with
+``functools.partial``) over the ``(nomination, seed)`` pairs.  Under
+``process`` the task and its arrays travel by pickle, so each worker holds
+private copies of the fold data; :func:`canonical_fold` then shares each
+fold's presort/substrate across the candidates a worker runs.
+
+**Degradation.**  If the process pool breaks mid-plan (worker crash) or a
+payload will not pickle, the full plan is replayed on the **thread**
+backend with a logged warning — seeds were pre-drawn, so the replay is
+result-identical and jobs never fail for infrastructure reasons.
 """
 
 from __future__ import annotations
 
 import logging
-import pickle
-from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -45,15 +49,13 @@ from repro.hpo.smac import SMAC, SMACSettings
 from repro.hpo.spaces import classifier_space
 from repro.kb.similarity import Nomination
 from repro.parallel.backend import (
-    ProcessBackend,
+    ProcessBackend,  # noqa: F401 - get_backend's process leg, patchable here
     ProcessBackendUnavailable,
-    SerialBackend,
     ThreadBackend,
+    get_backend,
 )
-from repro.parallel.shared import ArrayHandle, SharedArrayPool, WorkerContext
 
 __all__ = [
-    "CandidateTask",
     "execute_candidates",
     "tune_candidate",
 ]
@@ -80,7 +82,7 @@ def tune_candidate(
     — building the space, splitting folds, the SMAC loop, the final refit —
     is caught and returned as a structured :class:`CandidateFailure` instead
     of raising, so one bad candidate can never sink the whole experiment.
-    Infrastructure faults (pool death, shm exhaustion, OOM) still raise:
+    Infrastructure faults (pool death, OOM) still raise:
     those are the environment's fault and the job service retries them.
     """
     phase = "setup"
@@ -144,45 +146,31 @@ def tune_candidate(
     )
 
 
-@dataclass
-class CandidateTask:
-    """Everything one process worker needs to tune one candidate.
-
-    Arrays travel as shared-memory handles, everything else by pickle.
-    """
-
-    algorithm: str
-    warm_configs: list[dict]
-    budget_s: float | None
-    config: SmartMLConfig
-    train_X: ArrayHandle
-    train_y: ArrayHandle
-    val_X: ArrayHandle
-    val_y: ArrayHandle
-    n_classes: int
-    seed: int
-    fold_seed: int
-
-
-def _process_entry(task: CandidateTask) -> CandidateResult | CandidateFailure:
-    """Worker-side task body: attach fold buffers, tune, return the result."""
-    ctx = WorkerContext.get()
-    X_train = ctx.attach(task.train_X)
-    y_train = ctx.attach(task.train_y)
-    X_val = ctx.attach(task.val_X)
-    y_val = ctx.attach(task.val_y)
+def _tune_nominated(
+    pair: tuple[Nomination, int],
+    budgets: dict[str, float | None],
+    config: SmartMLConfig,
+    X_train: np.ndarray,
+    y_train: np.ndarray,
+    X_val: np.ndarray,
+    y_val: np.ndarray,
+    n_classes: int,
+    fold_seed: int,
+) -> CandidateResult | CandidateFailure:
+    """The dispatch task: tune one ``(nomination, seed)`` pair of the plan."""
+    nomination, seed = pair
     return tune_candidate(
-        task.algorithm,
-        task.warm_configs,
-        task.budget_s,
-        task.config,
+        nomination.algorithm,
+        nomination.warm_configs,
+        budgets[nomination.algorithm],
+        config,
         X_train,
         y_train,
         X_val,
         y_val,
-        task.n_classes,
-        seed=task.seed,
-        fold_seed=task.fold_seed,
+        n_classes,
+        seed=seed,
+        fold_seed=fold_seed,
     )
 
 
@@ -208,57 +196,25 @@ def execute_candidates(
     """
     if len(nominations) != len(seeds):
         raise ValueError("one pre-drawn seed per nomination is required")
-    fold_seed = int(seeds[0]) if seeds else 0
     workers = min(config.n_jobs, len(nominations))
-
-    def tune_local(pair: tuple[Nomination, int]) -> CandidateResult:
-        nomination, seed = pair
-        return tune_candidate(
-            nomination.algorithm,
-            nomination.warm_configs,
-            budgets[nomination.algorithm],
-            config,
-            X_train,
-            y_train,
-            X_val,
-            y_val,
-            n_classes,
-            seed=seed,
-            fold_seed=fold_seed,
-        )
-
+    task = partial(
+        _tune_nominated,
+        budgets=budgets,
+        config=config,
+        X_train=X_train,
+        y_train=y_train,
+        X_val=X_val,
+        y_val=y_val,
+        n_classes=n_classes,
+        fold_seed=int(seeds[0]) if seeds else 0,
+    )
     pairs = list(zip(nominations, seeds))
-    if workers <= 1 or len(nominations) <= 1 or config.backend == "serial":
-        return SerialBackend().map(tune_local, pairs)
-    if config.backend == "thread":
-        return ThreadBackend(workers).map(tune_local, pairs)
-
-    # ---- process backend --------------------------------------------------
-    pool = SharedArrayPool()
     try:
-        tasks = [
-            CandidateTask(
-                algorithm=nomination.algorithm,
-                warm_configs=nomination.warm_configs,
-                budget_s=budgets[nomination.algorithm],
-                config=config,
-                train_X=pool.publish(X_train),
-                train_y=pool.publish(y_train),
-                val_X=pool.publish(X_val),
-                val_y=pool.publish(y_val),
-                n_classes=n_classes,
-                seed=seed,
-                fold_seed=fold_seed,
-            )
-            for nomination, seed in pairs
-        ]
-        return ProcessBackend(workers).map(_process_entry, tasks)
-    except (ProcessBackendUnavailable, OSError, pickle.PicklingError) as exc:
+        return get_backend(config.backend, workers).map(task, pairs)
+    except ProcessBackendUnavailable as exc:
         logger.warning(
             "process backend unavailable (%s); falling back to the thread "
             "backend — results are unchanged because candidate seeds were "
             "drawn before dispatch", exc,
         )
-        return ThreadBackend(workers).map(tune_local, pairs)
-    finally:
-        pool.close()
+        return ThreadBackend(workers).map(task, pairs)

@@ -184,6 +184,31 @@ def test_ready_server_has_not_loaded_the_ml_stack(tmp_path):
     assert {"repro.classifiers", "repro.hpo", "repro.parallel"} <= set(found["after_run"])
 
 
+def test_ready_server_without_a_journal_has_not_loaded_it(tmp_path):
+    # The job journal loads only when one is configured (`serve --journal`).
+    found = _run_fresh("""
+        import json, sys, urllib.request
+        from pathlib import Path
+
+        from repro.api import SmartMLServer
+        from repro.core import SmartML
+        from repro.kb import KnowledgeBase
+
+        root = Path(sys.argv[1])
+        server = SmartMLServer(
+            SmartML(KnowledgeBase(root / "kb")), port=0, registry_dir=root / "models",
+        )
+        server.serve_background()
+        try:
+            ready = urllib.request.urlopen(server.base_url + "/readyz").status
+            journal = "repro.api.journal" in sys.modules
+        finally:
+            server.shutdown()
+        print(json.dumps({"ready": ready, "journal": journal}))
+    """, str(tmp_path))
+    assert found == {"ready": 200, "journal": False}
+
+
 # --------------------------------------------------- concurrent first use
 def test_first_experiment_and_first_decode_import_concurrently(tmp_path):
     # A registry that already holds a model, opened by a fresh server: the

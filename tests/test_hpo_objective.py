@@ -5,6 +5,7 @@ import pytest
 
 from repro.classifiers import make_classifier
 from repro.hpo import CrossValObjective, classifier_space
+from repro.hpo.objective import array_digest
 
 
 @pytest.fixture
@@ -91,3 +92,13 @@ def test_factory_receives_config_verbatim(multi_ds):
     objective.evaluate({"k": 7}, (("k", "7"),))
     assert all(config == {"k": 7} for config in seen)
     assert len(seen) == 2  # one model per fold
+
+
+def test_array_digest_sensitivity():
+    a = np.arange(6, dtype=np.float64)
+    assert array_digest(a) == array_digest(a.copy())
+    assert array_digest(a) != array_digest(a.reshape(2, 3))
+    assert array_digest(a) != array_digest(a.astype(np.float32))
+    b = a.copy()
+    b[0] += 1.0
+    assert array_digest(a) != array_digest(b)
