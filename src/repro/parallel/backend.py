@@ -167,8 +167,8 @@ class ProcessBackend(ExecutionBackend):
     """Fan work out to a cached process pool.
 
     ``fn`` (a module-level callable, or a ``functools.partial`` of one)
-    and every item must be picklable.  Any pool-level failure (a crashed worker, an
-    unpicklable payload, a dead interpreter) raises
+    and every item must be picklable.  Any pool-level failure (a crashed
+    worker, an unpicklable payload, a dead interpreter) raises
     :class:`ProcessBackendUnavailable` so the caller can degrade.
     """
 
