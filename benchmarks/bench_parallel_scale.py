@@ -5,10 +5,14 @@ algorithm under an evaluation-count budget — through
 :func:`repro.parallel.dispatch.execute_candidates` on every backend:
 
 * ``serial`` (1 worker) — the reference plan and the reference results;
-* ``thread`` at 1/2/4 workers — shares every in-process cache but is
+* ``thread`` at 2/4 workers — shares every in-process cache but is
   GIL-capped for the numpy-light parts of the loop;
-* ``process`` at 1/2/4 workers — each task and its fold arrays travel to
-  a cached worker pool by pickle; ``--repeats`` plans reuse one pool.
+* ``process`` at 2/4 workers — each task travels to a cached worker pool
+  by pickle; ``--repeats`` plans reuse one pool.
+
+There is no one-worker thread or process cell: ``get_backend`` runs any
+one-worker plan on the serial backend, so the serial cell is the
+one-worker point.
 
 Every backend's per-candidate results (best config, CV error, validation
 accuracy, evaluation counts) are asserted **identical** to the serial
@@ -136,11 +140,16 @@ def main() -> None:
                         help="SMAC configuration evaluations per algorithm")
     parser.add_argument("--algorithms", type=int, default=len(ALGORITHMS),
                         help="how many families to nominate (CI smoke: 2)")
-    parser.add_argument("--workers", type=int, nargs="*", default=[1, 2, 4])
+    parser.add_argument("--workers", type=int, nargs="*", default=[2, 4],
+                        help="pool sizes to time, each >= 2 (one worker is "
+                        "the serial cell)")
     parser.add_argument("--repeats", type=int, default=1,
                         help="timing repeats per cell (best kept)")
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
+    if any(workers < 2 for workers in args.workers):
+        parser.error("--workers: one worker runs the serial backend; "
+                     "the serial cell is the one-worker point")
 
     algorithms = ALGORITHMS[: max(1, args.algorithms)]
     problem = _problem(args.rows, args.features, args.classes, args.seed)

@@ -6,21 +6,14 @@ Table 3 row: 1 categorical + 2 numerical hyperparameters
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.classifiers.base import Classifier
-from repro.classifiers.tree import (
-    FlatTree,
-    TreeParams,
-    fit_flat_tree,
-    pessimistic_prune_flat,
-)
+from repro.classifiers.single_tree import SingleTreeClassifier
+from repro.classifiers.tree import FlatTree, TreeParams, pessimistic_prune_flat
 from repro.exceptions import ConfigurationError
 
 __all__ = ["J48"]
 
 
-class J48(Classifier):
+class J48(SingleTreeClassifier):
     """C4.5: gain-ratio splitting with error-based (pessimistic) pruning.
 
     Parameters
@@ -53,20 +46,16 @@ class J48(Classifier):
         self.min_instances = min_instances
         self.flat_: FlatTree | None = None
 
-    def fit(self, X: np.ndarray, y: np.ndarray, n_classes: int | None = None):
-        X, y = self._start_fit(X, y, n_classes)
+    def _tree_params(self) -> TreeParams:
         m = max(1, int(self.min_instances))
-        params = TreeParams(
+        return TreeParams(
             criterion="gain_ratio",
             max_depth=40,
             min_split=max(2, 2 * m),
             min_bucket=m,
         )
-        self.flat_ = fit_flat_tree(X, y, self.n_classes_, params)
-        if self.pruned == "pruned":
-            self.flat_ = pessimistic_prune_flat(self.flat_, float(self.confidence))
-        return self
 
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        X = self._check_predict_ready(X)
-        return self.flat_.predict_proba(X)
+    def _prune(self, tree: FlatTree) -> FlatTree:
+        if self.pruned == "pruned":
+            return pessimistic_prune_flat(tree, float(self.confidence))
+        return tree

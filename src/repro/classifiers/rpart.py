@@ -6,20 +6,13 @@ Table 3 row: 0 categorical + 4 numerical hyperparameters
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.classifiers.base import Classifier
-from repro.classifiers.tree import (
-    FlatTree,
-    TreeParams,
-    cost_complexity_prune_flat,
-    fit_flat_tree,
-)
+from repro.classifiers.single_tree import SingleTreeClassifier
+from repro.classifiers.tree import FlatTree, TreeParams, cost_complexity_prune_flat
 
 __all__ = ["RPart"]
 
 
-class RPart(Classifier):
+class RPart(SingleTreeClassifier):
     """CART: gini splitting with cost-complexity pruning.
 
     Parameters mirror ``rpart.control``: ``cp`` is the complexity parameter
@@ -43,18 +36,13 @@ class RPart(Classifier):
         self.maxdepth = maxdepth
         self.flat_: FlatTree | None = None
 
-    def fit(self, X: np.ndarray, y: np.ndarray, n_classes: int | None = None):
-        X, y = self._start_fit(X, y, n_classes)
-        params = TreeParams(
+    def _tree_params(self) -> TreeParams:
+        return TreeParams(
             criterion="gini",
             max_depth=int(self.maxdepth),
             min_split=max(2, int(self.minsplit)),
             min_bucket=max(1, int(self.minbucket)),
         )
-        grown = fit_flat_tree(X, y, self.n_classes_, params)
-        self.flat_ = cost_complexity_prune_flat(grown, float(self.cp))
-        return self
 
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        X = self._check_predict_ready(X)
-        return self.flat_.predict_proba(X)
+    def _prune(self, tree: FlatTree) -> FlatTree:
+        return cost_complexity_prune_flat(tree, float(self.cp))

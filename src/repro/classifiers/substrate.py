@@ -446,19 +446,26 @@ class Substrate:
 
     def column_levels(self, max_levels: int) -> list[np.ndarray | None]:
         """Per column: the sorted unique values when the column looks
-        categorical (few distinct integral values), else ``None``."""
+        categorical (few distinct integral values), else ``None``.
+
+        One ``np.sort(X, axis=0)`` serves every column: a column's unique
+        values are its sorted run heads, exactly ``np.unique``'s.
+        """
         with self._lock:
             hit = self._levels.get(max_levels)
             if hit is None:
+                ordered = np.sort(self.X, axis=0)
+                heads = np.ones(ordered.shape, dtype=bool)
+                np.not_equal(ordered[1:], ordered[:-1], out=heads[1:])
+                n_levels = heads.sum(axis=0)
                 hit = []
                 for j in range(self.X.shape[1]):
-                    values = np.unique(self.X[:, j])
-                    if values.size <= max_levels and np.allclose(
-                        values, np.round(values)
-                    ):
-                        hit.append(_read_only(values))
-                    else:
-                        hit.append(None)
+                    values = None
+                    if n_levels[j] <= max_levels:
+                        values = ordered[heads[:, j], j]
+                        if not np.allclose(values, np.round(values)):
+                            values = None
+                    hit.append(None if values is None else _read_only(values))
                 self._levels[max_levels] = hit
             return hit
 
@@ -484,38 +491,44 @@ class Substrate:
         )
         tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         for j in discrete_cols:
-            # klaR truncates levels to int64 and keys rows by that integer
-            # (last level wins on truncation collisions); searchsorted
+            # klaR truncates levels to integers and keys rows by them (last
+            # level wins on truncation collisions); searchsorted
             # side="right" - 1 on the non-decreasing truncated levels is
-            # that dict lookup, vectorized.
-            int_levels = levels_per_col[j].astype(np.int64)
-            col_int = X[:, j].astype(np.int64)
-            idx = np.searchsorted(int_levels, col_int, side="right") - 1
+            # that dict lookup, vectorized.  ``np.trunc`` is the int64 cast
+            # wherever that cast is defined, and leaves levels beyond
+            # +-2**63 as they are instead of wrapping them; adding 0.0 turns
+            # its -0.0 into the cast's 0.0.
+            int_levels = np.trunc(levels_per_col[j]) + 0.0
+            idx = np.searchsorted(int_levels, np.trunc(X[:, j]), side="right") - 1
             raw = np.zeros((k, int_levels.size), dtype=np.float64)
             np.add.at(raw, (y, idx), 1.0)
-            tables[j] = (_read_only(int_levels.astype(np.float64)), _read_only(raw))
+            tables[j] = (_read_only(int_levels), _read_only(raw))
 
         continuous = tuple(
             j for j in range(X.shape[1]) if j not in discrete_cols
         )
         means = np.zeros((k, len(continuous)))
-        stds = np.ones((k, len(continuous)))
+        stds = np.full((k, len(continuous)), 1e-6)
         silverman = np.zeros((k, len(continuous)))
         samples: tuple[dict[int, np.ndarray], ...] = tuple(
             dict() for _ in range(k)
         )
+        # One C-contiguous (columns x rows) block per class: a row reduction
+        # of it is the same pairwise sum as the per-column ``col.mean()``
+        # and ``col.std()``, and its rows are the KDE samples.  ``take``
+        # keeps the block C-contiguous; ``XT[:, rows]`` comes out strided,
+        # and its row sums then group differently.
+        XT = np.ascontiguousarray(X[:, list(continuous)].T)
         for ki in range(k):
             rows = np.flatnonzero(y == ki)
-            for cj, j in enumerate(continuous):
-                col = X[rows, j] if rows.size else np.zeros(1)
-                means[ki, cj] = col.mean() if col.size else 0.0
-                std = col.std() if col.size > 1 else 0.0
-                stds[ki, cj] = max(std, 1e-6)
-                if rows.size:
-                    samples[ki][cj] = _read_only(col)
-                    silverman[ki, cj] = (
-                        1.06 * max(std, 1e-6) * max(col.size, 1) ** (-0.2)
-                    )
+            if not rows.size:
+                continue  # absent class: zero means, floor stds, no samples
+            block = _read_only(XT.take(rows, axis=1))
+            means[ki] = block.mean(axis=1)
+            if rows.size > 1:
+                stds[ki] = np.maximum(block.std(axis=1), 1e-6)
+            silverman[ki] = 1.06 * stds[ki] * rows.size ** (-0.2)
+            samples[ki].update(enumerate(block))
         return NBStats(
             counts=counts,
             discrete_cols=discrete_cols,

@@ -5,11 +5,13 @@ per-``(config, fold)`` caching, so racing never refits a configuration on a
 fold it has already seen — the cache is what makes SMAC's intensification
 cheap.
 
-Folds are also shared *across* objectives: :func:`canonical_fold` keys
-each fold by content digest, so two objectives that split the same data
-the same way (the HPO candidates of one dispatch plan, on any backend)
-are handed the same fold arrays and the same live presort/substrate
-state, computed once per process.
+Folds are also shared *across* objectives.  A dispatch plan splits its
+training set once (:class:`FoldSplit`) and hands the split to every
+candidate's objective, and :func:`canonical_fold` keys each fold by
+content digest, so objectives that split the same data the same way (the
+candidates of a plan on a process-backend worker, which re-split) are
+handed the same fold arrays and the same live presort/substrate state,
+computed once per process.
 """
 
 from __future__ import annotations
@@ -25,11 +27,11 @@ import numpy as np
 
 from repro.classifiers.base import Classifier
 from repro.classifiers.substrate import pin_block, share_substrate
-from repro.classifiers.tree.presort import share_presort
+from repro.classifiers.tree.presort import PresortedMatrix, share_presort
 from repro.evaluation.metrics import error_rate
 from repro.evaluation.resampling import stratified_kfold_indices
 
-__all__ = ["CrossValObjective"]
+__all__ = ["CrossValObjective", "FoldSplit"]
 
 Config = dict[str, object]
 
@@ -78,15 +80,15 @@ def canonical_fold(
     y_train: np.ndarray,
     X_test: np.ndarray,
     y_test: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The canonical array objects for this fold content.
+) -> _FoldBundle:
+    """The canonical bundle for this fold content.
 
     Keyed by the combined content digest of all four arrays: the first
     registration wins and later content-identical folds (other HPO
     candidates racing the same split in this process) are handed the same
     array objects — so the identity-keyed presort/substrate registries
     hit, and each fold's expensive state is built once per process.
-    Callers must treat the returned arrays as read-only.
+    Callers must treat the bundle's arrays as read-only.
     """
     parts = (X_train, y_train, X_test, y_test)
     h = hashlib.blake2b(digest_size=16)
@@ -102,7 +104,67 @@ def canonical_fold(
                 bundle, lambda _ref, _key=key: _FOLDS.pop(_key, None)
             )
         _FOLD_KEEPALIVE.append(bundle)
-        return bundle.arrays
+        return bundle
+
+
+class FoldSplit:
+    """The stratified k-fold split of one training set, built once.
+
+    Every candidate of a dispatch plan races the same folds, so the plan
+    builds one split and hands it to each candidate's
+    :class:`CrossValObjective`: the folds are split, copied and
+    canonicalised (:func:`canonical_fold`) on first use and then shared.
+    The split also registers the whole training matrix for presort
+    sharing, which the single-tree families' lockstep fold fits and the
+    final refit on the training set grow from.
+
+    A split pickles as its inputs only, so a process-backend task carries
+    no fold arrays; the worker re-splits on first use.
+    """
+
+    def __init__(self, X: np.ndarray, y: np.ndarray, n_folds: int, seed: int):
+        self.X = np.asarray(X, dtype=np.float64)
+        self.y = np.asarray(y, dtype=np.int64)
+        self.n_folds = n_folds
+        self.seed = seed
+        self._lock = threading.Lock()
+        self._built: tuple | None = None
+
+    def __getstate__(self) -> dict:
+        return {"X": self.X, "y": self.y, "n_folds": self.n_folds, "seed": self.seed}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__init__(**state)
+
+    def _build(self) -> tuple:
+        with self._lock:
+            if self._built is None:
+                folds = stratified_kfold_indices(self.y, self.n_folds, seed=self.seed)
+                bundles = [
+                    canonical_fold(
+                        self.X[train_idx],
+                        self.y[train_idx],
+                        self.X[test_idx],
+                        self.y[test_idx],
+                    )
+                    for train_idx, test_idx in folds
+                ]
+                self._built = (folds, bundles, share_presort(self.X))
+            return self._built
+
+    @property
+    def folds(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """``(train_indices, test_indices)`` per fold, both ascending."""
+        return self._build()[0]
+
+    @property
+    def data(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+        """Canonical ``(X_train, y_train, X_test, y_test)`` per fold."""
+        return [bundle.arrays for bundle in self._build()[1]]
+
+    def presort(self) -> PresortedMatrix:
+        """The shared presort of the whole training matrix."""
+        return self._build()[2].presort()
 
 
 class CrossValObjective:
@@ -128,6 +190,10 @@ class CrossValObjective:
         which lets the content-addressed fold registry hand every
         objective the same fold arrays and the same live
         presort/substrate state, computed once per process.
+    split:
+        A :class:`FoldSplit` of ``(X, y)`` to race instead of splitting
+        here (``n_folds`` and ``fold_seed`` are then the split's).  The
+        dispatcher builds one per plan, so its candidates split once.
     """
 
     def __init__(
@@ -139,58 +205,24 @@ class CrossValObjective:
         n_folds: int = 3,
         seed: int = 0,
         fold_seed: int | None = None,
+        split: FoldSplit | None = None,
     ):
         self.model_factory = model_factory
-        self.X = np.asarray(X, dtype=np.float64)
-        self.y = np.asarray(y, dtype=np.int64)
+        if split is None:
+            split = FoldSplit(X, y, n_folds, seed if fold_seed is None else fold_seed)
+        # Each fold's train/test arrays are copied once (by the split) and
+        # canonicalised by content digest, so every fit on a fold sees the
+        # same array objects: the identity-keyed presort/substrate
+        # registries then hit across configurations and candidates, and the
+        # pinned test blocks let predict-side caches (neighbour orderings,
+        # cross-Grams, NB densities) key on identity.  The split keeps the
+        # fold bundles, and with them those registrations, alive.
+        self.split = split
+        self.X = split.X
+        self.y = split.y
         self.n_classes = n_classes
-        if fold_seed is None:
-            fold_seed = seed
-        self.folds = stratified_kfold_indices(self.y, n_folds, seed=fold_seed)
-        # Fancy-indexing X[train_idx]/X[test_idx] copies the data on every
-        # (config, fold) evaluation; the folds are fixed for the objective's
-        # lifetime, so copy each fold's train/test arrays once up front and
-        # hand every fit the same (read-only by convention) arrays.  This
-        # trades ~n_folds extra resident copies of X for zero per-evaluation
-        # slicing — the right side of the trade at this library's
-        # laptop-scale datasets and 2-3 fold protocols.  Each fold is then
-        # canonicalised by content digest: two objectives producing
-        # identical folds (candidates racing the same split) are handed the
-        # *same* array objects, so the identity-keyed presort/substrate
-        # registries below hit across objectives instead of rebuilding
-        # per-fold state for every candidate.
-        self._fold_data = [
-            canonical_fold(
-                self.X[train_idx],
-                self.y[train_idx],
-                self.X[test_idx],
-                self.y[test_idx],
-            )
-            for train_idx, test_idx in self.folds
-        ]
-        # Register each fold's training matrix for presort sharing: every
-        # tree-family fit on that fold — any configuration of any
-        # tree-family algorithm this objective races, and every ensemble
-        # member via bootstrap subsampling — reuses one per-fold argsort.
-        # The presorts are computed lazily (first tree fit) and live
-        # exactly as long as this objective does (weak registry).
-        self._presort_handles = [
-            share_presort(fold[0]) for fold in self._fold_data
-        ]
-        # The non-tree twin: one substrate per fold so SVM/KNN/naive
-        # Bayes/discriminant/linear candidates share standardization
-        # moments, Gram matrices, neighbour orderings and sufficient
-        # statistics.  Lazy like the presorts, and alive exactly as long
-        # as this objective (weak registry).
-        self._substrate_handles = [
-            share_substrate(fold[0]) for fold in self._fold_data
-        ]
-        # Test blocks are owned by this objective and never mutated, so
-        # declare them content-stable: predict-side caches (neighbour
-        # orderings, cross-Grams, NB densities) may key on their identity.
-        self._pin_handles = [
-            pin_block(fold[2]) for fold in self._fold_data
-        ]
+        self.folds = split.folds
+        self._fold_data = split.data
         self._cache: dict[tuple, dict[int, float]] = {}
         self.n_fold_evaluations = 0
         self.total_fit_seconds = 0.0
@@ -214,6 +246,37 @@ class CrossValObjective:
         per_config[fold_id] = error
         self.n_fold_evaluations += 1
         return error
+
+    def evaluate_folds(self, config: Config, key: tuple) -> list[float]:
+        """Errors of a not-yet-evaluated ``config`` on every fold, from one
+        lockstep fit of all folds; ``[]`` when its family fits fold by fold.
+
+        Each error equals :meth:`evaluate_fold`'s and is cached the same
+        way.  All or nothing: when the fit raises, no fold is recorded, so
+        a per-fold retry reproduces exactly the per-fold outcome.
+        """
+        if self._cache.get(key):
+            return []
+        fit_folds = getattr(self.model_factory(config), "fit_folds", None)
+        if fit_folds is None:
+            return []
+        started = time.monotonic()
+        models = fit_folds(
+            self.split.presort(), self.y,
+            [train_idx for train_idx, _ in self.folds], self.n_classes,
+        )
+        predictions = [
+            fold_model.predict(fold[2])
+            for fold_model, fold in zip(models, self._fold_data)
+        ]
+        self.total_fit_seconds += time.monotonic() - started
+        errors = [
+            error_rate(fold[3], fold_predictions)
+            for fold, fold_predictions in zip(self._fold_data, predictions)
+        ]
+        self._cache[key] = dict(enumerate(errors))
+        self.n_fold_evaluations += len(errors)
+        return errors
 
     def evaluate(self, config: Config, key: tuple, fold_ids: list[int] | None = None) -> float:
         """Mean error over the given folds (all folds when omitted)."""

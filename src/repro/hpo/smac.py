@@ -214,8 +214,13 @@ class SMAC:
             if incumbent is None:
                 # First configuration: evaluate fold by fold so a tiny time
                 # budget still yields a (partially validated) incumbent.
-                fold_costs = []
-                for fold_id in range(objective.n_folds):
+                # Without a time budget every fold runs anyway, so a family
+                # with a lockstep fold fit takes it.
+                fold_costs = (
+                    self._lockstep_costs(objective, challenger, key)
+                    if self.settings.time_budget_s is None else []
+                )
+                for fold_id in range(len(fold_costs), objective.n_folds):
                     fold_costs.append(
                         self._fold_cost(objective, challenger, key, fold_id)
                     )
@@ -298,6 +303,21 @@ class SMAC:
             )
             self._config_errors.setdefault(key, error)
             return float("inf")
+
+    def _lockstep_costs(
+        self, objective: CrossValObjective, config: Config, key: tuple
+    ) -> list[float]:
+        """Every fold's cost from one lockstep fit, or ``[]`` to go fold by
+        fold: the family has no lockstep path, or the fit raised.  The
+        per-fold loop then quarantines a failing fold with the same record
+        it always has (the lockstep fit records nothing when it raises)."""
+        try:
+            return objective.evaluate_folds(config, key)
+        except Exception as exc:
+            if is_infrastructure_fault(exc):
+                raise
+            return []
+
     def _race(
         self,
         challenger: Config,

@@ -47,18 +47,14 @@ class Nomination:
     warm_configs: list[dict] = field(default_factory=list)
 
 
-def zscore_normaliser(
-    matrix: np.ndarray, deviations: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def zscore_normaliser(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Column means/stds for z-scoring meta-feature vectors.
 
     Degenerate columns get unit std so they contribute zero distance.  The
-    std is ``matrix.std(axis=0)``'s own arithmetic, from ``matrix - mean``
-    written into ``deviations`` when given (the caller's z buffer).
+    std is ``matrix.std(axis=0)``'s own arithmetic.
     """
     mean = matrix.mean(axis=0)
-    deviations = np.subtract(matrix, mean, out=deviations)
-    std = np.sqrt(np.square(deviations).sum(axis=0) / matrix.shape[0])
+    std = np.sqrt(np.square(matrix - mean).sum(axis=0) / matrix.shape[0])
     std[std < 1e-12] = 1.0
     return mean, std
 
@@ -84,16 +80,33 @@ def _top_k_stable(distances: np.ndarray, k: int) -> np.ndarray:
     return order[:k]
 
 
+#: Rows per block of the fused z-score/distance passes: a block of the z
+#: buffer (25 meta-features -> 200 KB) and its scratch stay in cache between
+#: the passes over it, where whole-matrix passes stream 2 MB at 10k rows.
+_BLOCK_ROWS = 1024
+
+
 class SimilarityIndex:
     """Incrementally growable z-scored view of the stored meta-feature matrix.
 
     The raw float64 matrix lives in a capacity-doubling columnar buffer, so
     :meth:`append` is O(d) and never rebuilds state from the record store.
     The index is exact: the first query after any append recomputes the
-    normaliser over the raw matrix and re-z-scores every row into the
-    existing z buffer, so query results are *numerically identical* to a
-    cold rebuild of the index from scratch.  A query with no append since
-    the last one reuses the z buffer as it is.
+    normaliser and re-z-scores every row into the existing z buffer, so
+    query results are *numerically identical* to a cold rebuild of the index
+    from scratch.  A query with no append since the last one reuses the z
+    buffer as it is.
+
+    The normaliser's mean comes from column sums kept on append: numpy's
+    axis-0 sum of a C-contiguous matrix adds its rows in order to a zero
+    start, so ``S += row`` per append followed by ``S / n`` is
+    ``matrix.mean(axis=0)`` bit for bit.  The std's sum of squared
+    deviations, the division by the std and the distances run over blocks
+    of :data:`_BLOCK_ROWS` rows; a block's squares are summed below a carry
+    row holding the previous blocks' total, which keeps the row order of
+    one whole-matrix ``sum(axis=0)``.  A one-column matrix is the
+    exception: numpy sums a contiguous column pairwise, not row by row, so
+    it is reduced whole.
     """
 
     def __init__(self, stored_ids: list[int], stored_vectors: np.ndarray):
@@ -110,6 +123,9 @@ class SimilarityIndex:
         self._idbuf = np.empty(capacity, dtype=np.int64)
         self._idbuf[: self._n] = np.asarray(stored_ids, dtype=np.int64)
         self._zbuf = np.empty((capacity, self._d), dtype=np.float64)
+        self._colsum = matrix.sum(axis=0)
+        # Carry row + one block of squares or query differences.
+        self._scratch = np.empty((_BLOCK_ROWS + 1, self._d), dtype=np.float64)
         self._renormalise()
 
     # ------------------------------------------------------------ properties
@@ -142,17 +158,39 @@ class SimilarityIndex:
             self._grow()
         self._raw[self._n] = vector
         self._idbuf[self._n] = int(dataset_id)
+        self._colsum += vector
         self._n += 1
 
     def _renormalise(self) -> None:
-        """Recompute the normaliser and z-score every row in place."""
-        self._n_normalised = self._n
-        if self._n == 0:
+        """Recompute the normaliser and write every row's deviation from
+        the mean into the z buffer; the next query divides those rows by
+        the std in the same row blocks as its distances."""
+        n = self._n
+        self._n_normalised = n
+        self._undivided = True
+        if n == 0:
             self.mean, self.std = np.zeros(self._d), np.ones(self._d)
             return
-        z = self._zbuf[: self._n]
-        self.mean, self.std = zscore_normaliser(self._raw[: self._n], deviations=z)
-        np.divide(z, self.std, out=z)
+        if self._d > 1:
+            self.mean, block_rows = self._colsum / n, _BLOCK_ROWS
+        else:
+            self.mean, block_rows = self._raw[:n].mean(axis=0), n
+            if self._scratch.shape[0] <= n:
+                self._scratch = np.empty((n + 1, 1), dtype=np.float64)
+        scratch, total = self._scratch, None
+        for start in range(0, n, block_rows):
+            stop = min(start + block_rows, n)
+            z = np.subtract(self._raw[start:stop], self.mean, out=self._zbuf[start:stop])
+            if total is None:
+                block = np.square(z, out=scratch[: stop - start])
+            else:
+                scratch[0] = total
+                np.square(z, out=scratch[1: stop - start + 1])
+                block = scratch[: stop - start + 1]
+            total = block.sum(axis=0)
+        std = np.sqrt(total / n)
+        std[std < 1e-12] = 1.0
+        self.std = std
 
     # ---------------------------------------------------------------- query
     def query(self, query: np.ndarray, k: int) -> list[Neighbor]:
@@ -163,11 +201,20 @@ class SimilarityIndex:
         """
         if self._n != self._n_normalised:
             self._renormalise()
-        if self._n == 0 or k <= 0:
+        n = self._n
+        if n == 0 or k <= 0:
             return []
+        divide, self._undivided = self._undivided, False
         z_query = (np.asarray(query, dtype=np.float64) - self.mean) / self.std
-        diff = self._zbuf[: self._n] - z_query
-        distances = np.sqrt(np.square(diff, out=diff).sum(axis=1))
+        distances = np.empty(n)
+        for start in range(0, n, _BLOCK_ROWS):
+            stop = min(start + _BLOCK_ROWS, n)
+            z = self._zbuf[start:stop]
+            if divide:
+                np.divide(z, self.std, out=z)
+            diff = np.subtract(z, z_query, out=self._scratch[: stop - start])
+            np.square(diff, out=diff).sum(axis=1, out=distances[start:stop])
+        np.sqrt(distances, out=distances)
         order = _top_k_stable(distances, k)
         return [
             Neighbor(

@@ -15,16 +15,18 @@ determinism contract:
 * every candidate's seed is drawn before dispatch, in nomination order —
   no backend ever touches the master rng;
 * all candidates share one fold split (``fold_seed = seeds[0]``), so the
-  first candidate's folds are bit-identical to the pre-PR-6 behaviour
-  and every fold's presort/substrate is computed once per process;
+  first candidate's folds are bit-identical to the pre-PR-6 behaviour;
+  the plan splits once (:class:`~repro.hpo.objective.FoldSplit`) and
+  every fold's presort/substrate is computed once per process;
 * results are reduced in submission order, whatever order workers finish.
 
 **One dispatch path.**  Every backend maps the same module-level task
 (:func:`_tune_nominated` bound to the plan's arrays and config with
 ``functools.partial``) over the ``(nomination, seed)`` pairs.  Under
-``process`` the task and its arrays travel by pickle, so each worker holds
-private copies of the fold data; :func:`canonical_fold` then shares each
-fold's presort/substrate across the candidates a worker runs.
+``process`` the task and its arrays travel by pickle; the fold split
+travels as its inputs and each task re-splits in its worker, where
+:func:`~repro.hpo.objective.canonical_fold` shares each fold's
+presort/substrate across the candidates the worker runs.
 
 **Degradation.**  If the process pool breaks mid-plan (worker crash) or a
 payload will not pickle, the full plan is replayed on the **thread**
@@ -44,7 +46,7 @@ from repro.core.config import SmartMLConfig
 from repro.core.result import CandidateFailure, CandidateResult
 from repro.evaluation.metrics import accuracy
 from repro.exceptions import SearchError, is_infrastructure_fault
-from repro.hpo.objective import CrossValObjective
+from repro.hpo.objective import CrossValObjective, FoldSplit
 from repro.hpo.smac import SMAC, SMACSettings
 from repro.hpo.spaces import classifier_space
 from repro.kb.similarity import Nomination
@@ -75,8 +77,12 @@ def tune_candidate(
     n_classes: int,
     seed: int,
     fold_seed: int | None = None,
+    split: FoldSplit | None = None,
 ) -> CandidateResult | CandidateFailure:
     """One SMAC run for one nominated algorithm (any backend, any process).
+
+    ``split`` is the plan's shared fold split of ``(X_train, y_train)``;
+    without one the candidate splits with ``fold_seed`` itself.
 
     **Fault quarantine**: a deterministic failure anywhere in the candidate
     — building the space, splitting folds, the SMAC loop, the final refit —
@@ -97,6 +103,7 @@ def tune_candidate(
             n_folds=config.n_folds,
             seed=seed,
             fold_seed=fold_seed,
+            split=split,
         )
         settings = SMACSettings(
             time_budget_s=budget_s,
@@ -150,12 +157,10 @@ def _tune_nominated(
     pair: tuple[Nomination, int],
     budgets: dict[str, float | None],
     config: SmartMLConfig,
-    X_train: np.ndarray,
-    y_train: np.ndarray,
+    split: FoldSplit,
     X_val: np.ndarray,
     y_val: np.ndarray,
     n_classes: int,
-    fold_seed: int,
 ) -> CandidateResult | CandidateFailure:
     """The dispatch task: tune one ``(nomination, seed)`` pair of the plan."""
     nomination, seed = pair
@@ -164,13 +169,13 @@ def _tune_nominated(
         nomination.warm_configs,
         budgets[nomination.algorithm],
         config,
-        X_train,
-        y_train,
+        split.X,
+        split.y,
         X_val,
         y_val,
         n_classes,
         seed=seed,
-        fold_seed=fold_seed,
+        split=split,
     )
 
 
@@ -197,16 +202,20 @@ def execute_candidates(
     if len(nominations) != len(seeds):
         raise ValueError("one pre-drawn seed per nomination is required")
     workers = min(config.n_jobs, len(nominations))
+    # One fold split for the whole plan, built on first use: every
+    # candidate races the same folds.  It pickles as its inputs, so a
+    # process-backend task carries no fold arrays.
+    split = FoldSplit(
+        X_train, y_train, config.n_folds, int(seeds[0]) if seeds else 0
+    )
     task = partial(
         _tune_nominated,
         budgets=budgets,
         config=config,
-        X_train=X_train,
-        y_train=y_train,
+        split=split,
         X_val=X_val,
         y_val=y_val,
         n_classes=n_classes,
-        fold_seed=int(seeds[0]) if seeds else 0,
     )
     pairs = list(zip(nominations, seeds))
     try:

@@ -55,6 +55,50 @@ def test_index_renormalise_matches_reference_bits(n, d, built, seed):
     ]
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=2500),
+    d=st.integers(min_value=1, max_value=30),
+    built=st.floats(min_value=0.0, max_value=1.0),
+    n_queries=st.integers(min_value=1, max_value=6),
+    signed_zero=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_interleaved_appends_and_queries_match_cold_rebuild(
+    n, d, built, n_queries, signed_zero, seed
+):
+    # The live index keeps its column sums on append and z-scores in row
+    # blocks (several blocks above 1,024 rows); after any interleaving of
+    # appends and queries, every query must return what a cold index over
+    # the same rows returns, bit for bit, with the same normaliser.
+    rng = np.random.default_rng(seed)
+    matrix = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-8, 12, d)
+    matrix += 10.0 ** rng.uniform(-3, 12, d) * rng.integers(0, 2, d)
+    matrix[:, rng.integers(d)] = 1.5  # a degenerate column
+    if signed_zero:
+        matrix[0, rng.integers(d)] = -0.0
+    n_built = int(built * n)
+    index = SimilarityIndex(list(range(n_built)), matrix[:n_built])
+    query_after = set(rng.integers(n_built, n + 1, size=n_queries).tolist())
+    for i in range(n_built, n + 1):
+        if i in query_after:
+            query = rng.normal(size=d)
+            k = int(rng.integers(1, i + 2))
+            cold = SimilarityIndex(list(range(i)), matrix[:i])
+            want = cold.query(query, k)
+            for _ in range(2):  # a stale query, then a fresh one
+                got = index.query(query, k)
+                assert [(nb.dataset_id, nb.distance, nb.similarity) for nb in got] == [
+                    (nb.dataset_id, nb.distance, nb.similarity) for nb in want
+                ]
+            if i:
+                assert index.mean.tobytes() == cold.mean.tobytes()
+                assert index.std.tobytes() == cold.std.tobytes()
+                assert index.mean.tobytes() == matrix[:i].mean(axis=0).tobytes()
+        if i < n:
+            index.append(i, matrix[i])
+
+
 def test_nearest_datasets_orders_by_distance():
     stored = np.array([[0.0, 0.0], [1.0, 1.0], [10.0, 10.0]])
     neighbors = nearest_datasets(np.array([0.1, 0.1]), [7, 8, 9], stored, k=3)
